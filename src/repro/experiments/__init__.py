@@ -12,6 +12,15 @@
 | Table 3  | :func:`run_trigger_pair` | :func:`render_table3` |
 """
 
+from ..parallel import (
+    ExecutionPlan,
+    Job,
+    Sweep,
+    default_workers,
+    parallelism_enabled,
+    plan_execution,
+    run_jobs,
+)
 from .chaos import (
     ChaosArmResult,
     chaos_config,
@@ -74,15 +83,6 @@ from .power import (
 )
 from .registry import Experiment, all_experiments, experiment, get, names, register
 from .report import percent_change, render_bars, render_minmax, render_series, render_table
-from .runner import (
-    ExecutionPlan,
-    Job,
-    Sweep,
-    default_workers,
-    parallelism_enabled,
-    plan_execution,
-    run_jobs,
-)
 from .rubis import (
     RubisPairResult,
     RubisRunResult,

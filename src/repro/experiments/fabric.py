@@ -82,6 +82,49 @@ class FabricArmResult:
     dead_letters: int
 
 
+def probe_loop(sim, vm, name: str, probe_stats: dict, recent: dict, jitter):
+    """The latency-sensitive probe: ``PROBE_DEMAND`` of CPU every
+    ``PROBE_PERIOD`` from a jittered start. Each run's lateness (time
+    past its own demand) lands in ``probe_stats[name]`` and in the
+    policy window ``recent[name]``, which :func:`reset_recent` swaps out."""
+    yield sim.timeout(jitter.randrange(0, PROBE_PERIOD))
+    while True:
+        start = sim.now
+        yield vm.execute(PROBE_DEMAND, "user")
+        latency = sim.now - start - PROBE_DEMAND
+        probe_stats[name].add(latency)
+        recent[name].add(latency)
+        yield sim.timeout(PROBE_PERIOD)
+
+
+def hog_loop(sim, vm, phase: int):
+    """A CPU hog that burns 5 ms slices only in its duty slot ``phase``."""
+    while True:
+        if (sim.now // HOT_SLOT) % DUTY_SLOTS == phase:
+            yield vm.execute(ms(5), "user")
+        else:
+            yield sim.timeout(ms(5))
+
+
+def reset_recent(recent: dict, name: str) -> float:
+    """Mean probe latency of ``name``'s policy window (0 if empty); starts
+    a fresh window."""
+    mean = recent[name].mean if recent[name].count else 0.0
+    recent[name] = OnlineStats()
+    return mean
+
+
+def decide(island, mean: float) -> int:
+    """The local QoS policy: the probe-weight Tune for one island given
+    its window mean latency (0 inside the hysteresis band)."""
+    probe = island.vm("probe")
+    if mean > LATENCY_HIGH:
+        return +128
+    if mean < LATENCY_LOW and probe.weight > 256:
+        return -128
+    return 0
+
+
 def _topology(arm: str, names: tuple[str, ...]) -> FabricTopology:
     if arm == "central":
         return FabricTopology.star(names)
@@ -117,43 +160,15 @@ def run_fabric_arm(
         hog_vms = [island.create_vm(f"hog-{h}") for h in range(2)]
         probe_stats[name] = OnlineStats()
         recent[name] = OnlineStats()
-
-        def probe_loop(sim, vm=probe_vm, name=name,
-                       jitter=rng.stream(f"probe-{index}")):
-            yield sim.timeout(jitter.randrange(0, PROBE_PERIOD))
-            while True:
-                start = sim.now
-                yield vm.execute(PROBE_DEMAND, "user")
-                latency = sim.now - start - PROBE_DEMAND
-                probe_stats[name].add(latency)
-                recent[name].add(latency)
-                yield sim.timeout(PROBE_PERIOD)
-
-        def hog_loop(sim, vm, phase=index % DUTY_SLOTS):
-            while True:
-                if (sim.now // HOT_SLOT) % DUTY_SLOTS == phase:
-                    yield vm.execute(ms(5), "user")
-                else:
-                    yield sim.timeout(ms(5))
-
-        sim.spawn(probe_loop(sim), name=f"probe-{name}")
+        sim.spawn(
+            probe_loop(sim, probe_vm, name, probe_stats, recent,
+                       rng.stream(f"probe-{index}")),
+            name=f"probe-{name}",
+        )
         for hog_vm in hog_vms:
-            sim.spawn(hog_loop(sim, hog_vm), name=f"hog-{name}")
+            sim.spawn(hog_loop(sim, hog_vm, index % DUTY_SLOTS), name=f"hog-{name}")
 
     by_name = {name: testbed.island(name) for name in names}
-
-    def _reset_recent(name: str) -> float:
-        mean = recent[name].mean if recent[name].count else 0.0
-        recent[name] = OnlineStats()
-        return mean
-
-    def _decide(name: str, mean: float) -> int:
-        probe = by_name[name].vm("probe")
-        if mean > LATENCY_HIGH:
-            return +128
-        if mean < LATENCY_LOW and probe.weight > 256:
-            return -128
-        return 0
 
     if arm == "central":
         # Every island streams load reports to the hub, whose manager
@@ -163,7 +178,7 @@ def run_fabric_arm(
 
         def on_report(message: LoadReportMessage) -> None:
             report_counts[hub] += 1
-            delta = _decide(message.island, message.probe_latency_ns)
+            delta = decide(by_name[message.island], message.probe_latency_ns)
             if delta:
                 mesh.agent(hub, message.island).send_tune(
                     EntityId(message.island, "probe"), delta
@@ -178,7 +193,7 @@ def run_fabric_arm(
             while True:
                 yield sim.timeout(POLICY_PERIOD)
                 mesh.agent(name, hub).endpoint.send(LoadReportMessage(
-                    island=name, probe_latency_ns=_reset_recent(name)
+                    island=name, probe_latency_ns=reset_recent(recent, name)
                 ))
 
         for name in names:
@@ -194,8 +209,8 @@ def run_fabric_arm(
         def local_controller(sim, name):
             while True:
                 yield sim.timeout(POLICY_PERIOD)
-                mean = _reset_recent(name)
-                delta = _decide(name, mean)
+                mean = reset_recent(recent, name)
+                delta = decide(by_name[name], mean)
                 if delta:
                     by_name[name].apply_tune(EntityId(name, "probe"), delta)
                 if arm == "hierarchical":

@@ -39,6 +39,7 @@ it honestly shows the windowing overhead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -51,12 +52,12 @@ from ..x86 import X86Island, X86Params
 from .fabric import (
     DUTY_SLOTS,
     FANOUT,
-    HOT_SLOT,
     LATENCY_HIGH,
-    LATENCY_LOW,
     POLICY_PERIOD,
-    PROBE_DEMAND,
-    PROBE_PERIOD,
+    decide,
+    hog_loop,
+    probe_loop,
+    reset_recent,
 )
 from .report import render_table
 
@@ -139,11 +140,11 @@ class _ClusterAgent:
         world = self.world
         worst_member, worst_mean, total = self.members[0], -1.0, 0.0
         for member in self.members:
-            mean = world.reset_recent(member)
+            mean = reset_recent(world.recent, member)
             total += mean
             if mean > worst_mean:
                 worst_member, worst_mean = member, mean
-            delta = world.decide(member, mean)
+            delta = decide(world.islands[member], mean)
             if delta:
                 world.islands[member].apply_tune(EntityId(member, "probe"), delta)
                 world.tunes_local[member] += 1
@@ -359,12 +360,13 @@ class _ShardWorld:
             self.recent[name] = OnlineStats()
             self.tunes_local[name] = 0
             self.sim.spawn(
-                _probe_loop(self, probe_vm, name, rng.stream(f"probe-{name}")),
+                probe_loop(self.sim, probe_vm, name, self.probe_stats,
+                           self.recent, rng.stream(f"probe-{name}")),
                 name=f"probe-{name}",
             )
             for hog_vm in hog_vms:
                 self.sim.spawn(
-                    _hog_loop(self.sim, hog_vm, index_of[name] % DUTY_SLOTS),
+                    hog_loop(self.sim, hog_vm, index_of[name] % DUTY_SLOTS),
                     name=f"hog-{name}",
                 )
 
@@ -408,21 +410,6 @@ class _ShardWorld:
 
                 self.sim.call_at(register_at, _register_spare)
 
-    # -- workload plumbing ---------------------------------------------------
-
-    def reset_recent(self, name: str) -> float:
-        mean = self.recent[name].mean if self.recent[name].count else 0.0
-        self.recent[name] = OnlineStats()
-        return mean
-
-    def decide(self, name: str, mean: float) -> int:
-        probe = self.islands[name].vm("probe")
-        if mean > LATENCY_HIGH:
-            return +128
-        if mean < LATENCY_LOW and probe.weight > 256:
-            return -128
-        return 0
-
     def collect(self) -> dict[str, Any]:
         return {
             "islands": {
@@ -439,25 +426,6 @@ class _ShardWorld:
             "root": None if self.root is None else self.root.collect(),
             "spare_registered_at": self.spare_registered_at,
         }
-
-
-def _probe_loop(world: _ShardWorld, vm, name: str, jitter):
-    yield world.sim.timeout(jitter.randrange(0, PROBE_PERIOD))
-    while True:
-        start = world.sim.now
-        yield vm.execute(PROBE_DEMAND, "user")
-        latency = world.sim.now - start - PROBE_DEMAND
-        world.probe_stats[name].add(latency)
-        world.recent[name].add(latency)
-        yield world.sim.timeout(PROBE_PERIOD)
-
-
-def _hog_loop(sim, vm, phase: int):
-    while True:
-        if (sim.now // HOT_SLOT) % DUTY_SLOTS == phase:
-            yield vm.execute(ms(5), "user")
-        else:
-            yield sim.timeout(ms(5))
 
 
 def build_fabric_world(ctx, seed: int, duration: int, blackout: bool) -> _ShardWorld:
@@ -569,7 +537,8 @@ def run_fabric_sharded_arm(
         num_islands=num_islands,
         shards=plan.shards,
         metrics=metrics,
-        mean_probe_latency_ms=sum(latencies.values()) / len(latencies),
+        # fsum: exact whatever order the shard merge filled the dict in.
+        mean_probe_latency_ms=math.fsum(latencies.values()) / len(latencies),
         worst_probe_latency_ms=max(latencies.values()),
         root_reports=root.get("reports_received", 0),
         root_tunes=root.get("tunes_sent", 0),

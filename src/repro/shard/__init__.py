@@ -12,13 +12,13 @@ without ever hearing from another shard's past.
 
 The pieces:
 
-* :class:`ShardConfig` — the user-facing knobs (``shards``, ``workers``,
-  ``window_ns``, plus the supervision knobs: barrier deadline,
-  heartbeat/probe intervals, respawn budget, journal bound), carried by
-  ``TestbedConfig.shard``.
 * :class:`ShardPlan` — the deterministic cut: cluster groups, lookahead,
   window width. Depends only on topology + shard count, never on worker
   placement.
+* :class:`ShardConfig` — the supervision knobs of a run (barrier
+  deadline, heartbeat/probe intervals, respawn budget, journal bound),
+  passed as ``run_sharded(config=...)``; the worker budget is
+  ``run_sharded(workers=...)``.
 * :class:`BoundaryRouter` / :class:`BoundaryMessage` — the *only* path
   cross-cluster control traffic takes, in every execution mode. Messages
   are stamped ``(deliver_at, dst, src, seq)`` and applied in exactly
@@ -60,7 +60,6 @@ from .worker import BUILD_WINDOW, FINISH_WINDOW
 from .runtime import (
     DegradationLog,
     ShardRunResult,
-    reset_degradation_warnings,
     run_sharded,
 )
 
@@ -86,6 +85,5 @@ __all__ = [
     "SupervisionExhausted",
     "SupervisionLog",
     "WindowJournal",
-    "reset_degradation_warnings",
     "run_sharded",
 ]

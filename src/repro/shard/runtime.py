@@ -20,8 +20,8 @@ Two engines run the same protocol:
   framed pipes, with barrier deadlines, heartbeat liveness probes and
   crash/hang recovery by journal replay.
 
-The engine choice follows the runner's
-:func:`~repro.experiments.runner.plan_execution` rules (``REPRO_*``
+The engine choice follows the sweeps'
+:func:`~repro.parallel.plan_execution` rules (``REPRO_*``
 knobs, nested-in-worker, single CPU); any spawn failure — and any
 mid-run :class:`~repro.shard.supervisor.SupervisionExhausted` (respawn
 budget spent, journal truncated) — degrades to the inline engine, with
@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..parallel import plan_execution
+from ..parallel import plan_execution, warn_once
 from .config import ShardConfig
 from .host import ShardHost
 from .journal import WindowJournal
@@ -53,32 +53,15 @@ from .supervisor import (
 )
 
 _log = logging.getLogger(__name__)
-#: Degradation causes already *warned* about in this process — log-spam
-#: control only (a 100-job sweep should not warn 100 times). Per-run
-#: degradation *state* lives in :class:`DegradationLog`, on the result.
-_warned_degradations: set[str] = set()
-
-
-def reset_degradation_warnings() -> None:
-    """Forget which degradation causes have already been warned about.
-
-    The warn-once cache is process-wide (log-spam control across
-    sweeps); tests that assert on the warning call this instead of
-    reaching into module privates. Per-run degradation records
-    (``ShardRunResult.supervision["degradations"]``) are unaffected —
-    they were never global.
-    """
-    _warned_degradations.clear()
 
 
 class DegradationLog:
     """Per-run record of why (if ever) the run left the process engine.
 
-    Replaces the old module-global "logged degradations" set: causes are
-    now state of the run they happened in, surfaced via
+    Causes are state of the run they happened in, surfaced via
     ``ShardRunResult.supervision["degradations"]`` and the
-    ``supervision.degraded_inline`` counter, while the process-wide
-    :func:`reset_degradation_warnings` cache only dedups the *warning*.
+    ``supervision.degraded_inline`` counter; the process-wide
+    :func:`~repro.parallel.warn_once` cache only dedups the *warning*.
     """
 
     def __init__(self) -> None:
@@ -86,11 +69,7 @@ class DegradationLog:
 
     def note(self, cause: str) -> None:
         self.causes.append(cause)
-        if cause not in _warned_degradations:
-            _warned_degradations.add(cause)
-            _log.warning(
-                "shard workers unavailable (%s); running shards inline", cause
-            )
+        warn_once(_log, "shard workers unavailable (%s); running shards inline", cause)
 
 
 @dataclass
@@ -237,9 +216,10 @@ def run_sharded(
     and explicit seeds in ``build_args``, never from ambient state.
 
     ``config`` carries the supervision knobs (barrier deadline,
-    heartbeat/probe intervals, respawn budget, journal bound); its
-    ``shards``/``window_ns`` fields are *not* consulted here — the plan
-    already fixed those. ``fault_hook`` (picklable; see
+    heartbeat/probe intervals, respawn budget, journal bound); the plan
+    fixes the shard count and window, and ``workers`` caps the worker
+    processes (None defers to ``REPRO_WORKERS`` / the CPU count).
+    ``fault_hook`` (picklable; see
     :mod:`repro.shard.worker`) is delivered to worker processes only —
     the inline engine never runs hooks, which is what makes a degraded
     run equal to an undisturbed one even under a chaos script.
@@ -256,8 +236,7 @@ def run_sharded(
     degradations = DegradationLog()
     engine: Any = None
     if plan.shards >= 2:
-        effective_workers = workers if workers is not None else config.workers
-        exec_plan = plan_execution(plan.shards, max_workers=effective_workers)
+        exec_plan = plan_execution(plan.shards, max_workers=workers)
         if exec_plan.parallel:
             try:
                 engine = SupervisedEngine(

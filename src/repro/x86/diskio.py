@@ -30,8 +30,6 @@ class DiskParams:
     seek_time: int = ms(8)
     #: Sustained media bandwidth, bytes per nanosecond (80 MB/s).
     bandwidth_bytes_per_ns: float = 0.08
-    #: Requests issued at consecutive offsets skip the seek.
-    sequential_window: int = 4
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """The sharded fabric experiment: bit-equal arms, fault story, sweep."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
+    FabricShardedArmResult,
     run_fabric_sharded,
     run_fabric_sharded_arm,
     render_fabric_sharded,
@@ -13,6 +16,14 @@ from repro.sim import ms, seconds
 K = 16
 FANOUT = 4
 DURATION = seconds(2)
+#: Result fields derived from the merged metrics. Like ``metrics`` they
+#: must not depend on the shard layout, down to the last bit of a float.
+DERIVED = tuple(
+    field.name for field in dataclasses.fields(FabricShardedArmResult)
+    if field.name not in {
+        "shards", "metrics", "engine", "windows", "events", "wall_seconds",
+    }
+)
 
 
 def arm(shards, fastpath=True, blackout=True):
@@ -33,6 +44,9 @@ class TestBitEquality:
         sharded = arm(shards=shards)
         assert sharded.metrics == reference.metrics
         assert sharded.shards == shards
+        assert {name: repr(getattr(sharded, name)) for name in DERIVED} == {
+            name: repr(getattr(reference, name)) for name in DERIVED
+        }
 
     def test_audit_path_matches_fast_path(self, reference):
         assert arm(shards=2, fastpath=False).metrics == reference.metrics

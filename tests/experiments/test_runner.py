@@ -25,7 +25,7 @@ from repro.experiments import (
     run_jobs,
     run_rubis_pair,
 )
-from repro.experiments.runner import _IN_WORKER_ENV, PARALLEL_ENV, WORKERS_ENV
+from repro.parallel import _IN_WORKER_ENV, PARALLEL_ENV, WORKERS_ENV, reset_warnings
 from repro.sim import ms, seconds
 
 
@@ -90,9 +90,7 @@ class TestSweep:
 
     def test_unpicklable_job_falls_back_and_logs_once(self, monkeypatch, caplog):
         monkeypatch.setenv(WORKERS_ENV, "2")
-        import repro.parallel as parallel_mod
-
-        monkeypatch.setattr(parallel_mod, "_logged_fallbacks", set())
+        reset_warnings()
         jobs = [Job(lambda: 10), Job(lambda: 20)]  # lambdas: unpicklable
         with caplog.at_level(logging.WARNING, logger="repro.parallel"):
             assert run_jobs(jobs) == [10, 20]

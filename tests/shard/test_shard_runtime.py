@@ -18,7 +18,7 @@ from repro.shard import (
     ShardWorkerError,
     run_sharded,
 )
-from repro.sim import PeriodicTask, ms, seconds
+from repro.sim import PeriodicTask, ms
 
 RING = 4
 PING_PERIOD = ms(7)
@@ -112,11 +112,10 @@ class TestDegradation:
     def test_disabled_parallelism_degrades_inline_and_logs_once(
         self, monkeypatch, caplog
     ):
-        from repro.parallel import PARALLEL_ENV, plan_execution
-        from repro.shard import reset_degradation_warnings
+        from repro.parallel import PARALLEL_ENV, plan_execution, reset_warnings
 
         monkeypatch.setenv(PARALLEL_ENV, "0")
-        reset_degradation_warnings()
+        reset_warnings()
         plan = ShardPlan(ring_topology(), shards=2)
         expected_cause = plan_execution(plan.shards).reason
         with caplog.at_level(logging.WARNING, logger="repro.shard.runtime"):

@@ -7,7 +7,7 @@ Run with::
 Used to populate EXPERIMENTS.md; also a convenient one-shot check that the
 whole reproduction is healthy. All five independent runs (RUBiS base and
 coord, the Figure 6 ladder, trigger base and coord) fan out across cores
-through ``repro.experiments.runner``; set ``REPRO_PARALLEL=0`` to force
+through ``repro.parallel``; set ``REPRO_PARALLEL=0`` to force
 the serial path (the artefacts are identical either way).
 """
 

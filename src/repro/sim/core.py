@@ -130,7 +130,11 @@ class Event:
             raise EventAlreadyTriggeredError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay=0)
+        if not self._scheduled:
+            # ``Simulator._schedule(self, 0)`` without the frame.
+            self._scheduled = True
+            sim = self.sim
+            sim._push(sim._now, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -141,7 +145,10 @@ class Event:
             raise EventAlreadyTriggeredError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay=0)
+        if not self._scheduled:
+            self._scheduled = True
+            sim = self.sim
+            sim._push(sim._now, self)
         return self
 
     def defused(self) -> None:

@@ -23,9 +23,19 @@ a bug, not a 1 ns delay).
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Generator, Optional
 
-from .core import Event, Simulator, Timeout, _DelayWakeup
+from .core import (
+    _PENDING,
+    _WHEEL_MASK,
+    _WHEEL_SHIFT,
+    _WHEEL_SLOTS,
+    Event,
+    Simulator,
+    Timeout,
+    _DelayWakeup,
+)
 from .errors import Interrupt, SimulationError
 
 
@@ -99,13 +109,13 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         # Stale wakeup: an interrupt arrived while we waited on a target, or
         # the target fired after an interrupt already moved us on.
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if self._in_fast_delay or (self._target is not None and event is not self._target):
             # Only interrupt events may barge in on a waiting process; any
             # other mismatched wakeup is a stale event firing after an
             # interrupt already moved the process on.
-            if event.ok or not isinstance(event._value, Interrupt):
+            if event._ok or not isinstance(event._value, Interrupt):
                 return
             if self._in_fast_delay:
                 # Abandon the heap-parked token; it is ignored when it pops.
@@ -113,11 +123,11 @@ class Process(Event):
                 self._delay_gen += 1
         self._target = None
 
-        if event.ok:
-            self._step(self._generator.send, event.value)
+        if event._ok:
+            self._step(self._generator.send, event._value)
         else:
-            event.defused()
-            self._step(self._generator.throw, event.value)
+            event._defused = True
+            self._step(self._generator.throw, event._value)
 
     def _delay_fired(self, wakeup: _DelayWakeup) -> None:
         """A heap-parked delay token popped (called by ``Simulator.step``)."""
@@ -136,18 +146,19 @@ class Process(Event):
 
     def _step(self, advance, argument: Any) -> None:
         """Advance the generator one yield and act on what it yields."""
-        previous, self.sim._active_process = self.sim._active_process, self
+        sim = self.sim
+        previous, sim._active_process = sim._active_process, self
         try:
             next_target = advance(argument)
         except StopIteration as stop:
-            self.sim._active_process = previous
+            sim._active_process = previous
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active_process = previous
+            sim._active_process = previous
             self.fail(exc)
             return
-        self.sim._active_process = previous
+        sim._active_process = previous
 
         if type(next_target) is int:
             if next_target < 0:
@@ -158,11 +169,34 @@ class Process(Event):
                     )
                 )
                 return
-            if self.sim._fastpath:
-                self._arm_delay(next_target, None)
+            if sim._fastpath:
+                # ``_arm_delay`` and ``Simulator._push`` inlined, as in
+                # ``PeriodicTask._fired``: the pure sleep is the hottest
+                # yield in the platform, and two frames per sleep show.
+                wakeup = self._delay_wakeup
+                if wakeup is None:
+                    wakeup = _DelayWakeup(self)
+                else:
+                    self._delay_wakeup = None
+                self._delay_gen += 1
+                wakeup.gen = self._delay_gen
+                wakeup.value = None
+                self._in_fast_delay = True
+                time = sim._now + next_target
+                entry = (time, sim._seq, wakeup)
+                sim._seq += 1
+                slot = time >> _WHEEL_SHIFT
+                offset = slot - sim._cursor
+                if offset <= 0:
+                    heapq.heappush(sim._ready, entry)
+                elif offset < _WHEEL_SLOTS:
+                    sim._slots[slot & _WHEEL_MASK].append(entry)
+                    sim._wheel_count += 1
+                else:
+                    heapq.heappush(sim._heap, entry)
                 return
             # Determinism-audit mode: take the allocating Timeout path.
-            next_target = Timeout(self.sim, next_target)
+            next_target = Timeout(sim, next_target)
 
         if not isinstance(next_target, Event):
             error = SimulationError(
@@ -171,24 +205,24 @@ class Process(Event):
             self._generator.close()
             self.fail(error)
             return
-        if next_target.sim is not self.sim:
+        if next_target.sim is not sim:
             self._generator.close()
             self.fail(SimulationError("yielded an event belonging to a different simulator"))
             return
 
         if next_target.callbacks is None:
             # Already processed: resume on the next loop iteration.
-            if next_target.ok and self.sim._fastpath:
+            if next_target.ok and sim._fastpath:
                 # Same zero-delay hop, minus the throwaway Event.
                 self._arm_delay(0, next_target._value)
                 return
-            ready = Event(self.sim, name="ready")
+            ready = Event(sim, name="ready")
             ready._ok = next_target.ok
             ready._value = next_target._value
             if not next_target.ok:
                 ready._defused = True
             self._target = ready
-            self.sim._schedule(ready, delay=0)
+            sim._schedule(ready, delay=0)
             ready.callbacks.append(self._resume)
         else:
             self._target = next_target

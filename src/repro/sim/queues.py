@@ -45,6 +45,7 @@ class Store(Generic[T]):
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.sim = sim
         self.name = name or "store"
+        self._get_label = f"get:{self.name}"
         self.capacity = capacity
         self.items: deque[T] = deque()
         self._putters: deque[StorePut] = deque()
@@ -67,16 +68,25 @@ class Store(Generic[T]):
 
     def get(self) -> StoreGet:
         """Request one item; the returned event fires with the item."""
-        event = StoreGet(self.sim, name=f"get:{self.name}")
+        event = StoreGet(self.sim, name=self._get_label)
         self._getters.append(event)
         self._dispatch()
         return event
 
     def try_put(self, item: T) -> bool:
-        """Non-blocking put: False (and no side effect) when full."""
+        """Non-blocking put: False (and no side effect) when full.
+
+        Files no :class:`StorePut`: room in the store means no putter is
+        queued ahead of this one, and the event would never be returned,
+        so nobody could wait on it. The item is stored and waiting
+        getters are served exactly as :meth:`put` would serve them.
+        """
         if self.is_full:
             return False
-        self.put(item)
+        self._store_item(item)
+        getters = self._getters
+        while getters and self.items:
+            getters.popleft().succeed(self._pop_item())
         return True
 
     def try_get(self) -> Optional[T]:

@@ -211,8 +211,8 @@ class CreditScheduler:
         return budget - self._cap_used[vm.name]
 
     def _runnable_now(self, vcpu: VCPU) -> bool:
-        budget = self._cap_budget(vcpu.vm)
-        return budget is None or budget > 0
+        vm = vcpu.vm
+        return vm.cap_percent <= 0 or self._cap_budget(vm) > 0
 
     def _pick_next(self, cpu: PhysicalCPU) -> Optional[VCPU]:
         """Next VCPU for ``cpu``.
@@ -230,7 +230,7 @@ class CreditScheduler:
 
         best_remote: Optional[tuple[Priority, PhysicalCPU, int]] = None
         for other in self.cpus:
-            if other is cpu:
+            if other is cpu or not other.run_queue:
                 continue
             for i, vcpu in enumerate(other.run_queue):
                 if not vcpu.allowed_on(cpu) or not self._runnable_now(vcpu):
@@ -255,12 +255,21 @@ class CreditScheduler:
     # -- core loop ----------------------------------------------------------------
 
     def _cpu_loop(self, cpu: PhysicalCPU):
+        idle_label = f"cpu{cpu.index}-idle"
         while True:
             vcpu = self._pick_next(cpu)
             if vcpu is None:
-                cpu.idle_event = self.sim.event(name=f"cpu{cpu.index}-idle")
+                cpu.idle_event = self.sim.event(name=idle_label)
                 cpu.note_idle_start()
-                yield cpu.idle_event
+                while True:
+                    try:
+                        yield cpu.idle_event
+                        break
+                    except Interrupt:
+                        # A stale preempt: it was aimed at a burst that
+                        # has since ended (a DVFS change landing on the
+                        # same instant as the burst's end). Keep idling.
+                        pass
                 cpu.idle_event = None
                 cpu.note_idle_end()
                 continue

@@ -29,7 +29,7 @@ class WorkItem:
         self.remaining = demand
         self.kind = kind
         #: Fires when the item has received its full demand.
-        self.done: Event = sim.event(name=f"work-done({kind},{demand})")
+        self.done = Event(sim, name="work-done")
         self.enqueued_at = sim.now
         self.started_at: Optional[int] = None
         #: Name of the VCPU currently serving this item (None = unclaimed).
@@ -73,6 +73,11 @@ class GuestKernel:
         self.sim = sim
         self.name = name
         self._items: list[WorkItem] = []
+        #: Items no VCPU has claimed yet, and the item each owner holds
+        #: (an owner claims at most one at a time): the O(1) answers to
+        #: "is there work to wake for" and "what is this VCPU serving".
+        self._unclaimed = 0
+        self._claims: dict[str, WorkItem] = {}
         self.accounting = GuestAccounting()
         self._outstanding_io = 0
         self._idle_since: Optional[int] = sim.now
@@ -86,6 +91,7 @@ class GuestKernel:
         """Queue ``demand`` ns of CPU work; returns the item (await .done)."""
         item = WorkItem(self.sim, demand, kind)
         self._items.append(item)
+        self._unclaimed += 1
         self._leave_idle()
         if self.on_work_available is not None:
             self.on_work_available()
@@ -102,20 +108,22 @@ class GuestKernel:
         processing) preempting queued user work is what keeps a busy
         guest's packet intake alive while it crunches application bursts.
         """
-        oldest_sys = None
-        oldest_user = None
+        claimed = self._claims.get(owner)
+        if claimed is not None:
+            return claimed
+        if not self._unclaimed:
+            return None
+        chosen = None
         for item in self._items:
-            if item.owner == owner:
-                return item
             if item.owner is None:
                 if item.kind == "sys":
-                    if oldest_sys is None:
-                        oldest_sys = item
-                elif oldest_user is None:
-                    oldest_user = item
-        chosen = oldest_sys if oldest_sys is not None else oldest_user
-        if chosen is not None:
-            chosen.owner = owner
+                    chosen = item
+                    break
+                if chosen is None:
+                    chosen = item
+        chosen.owner = owner
+        self._claims[owner] = chosen
+        self._unclaimed -= 1
         return chosen
 
     def charge(self, item: WorkItem, ran: int, consumed: Optional[int] = None) -> None:
@@ -136,6 +144,10 @@ class GuestKernel:
             self.accounting.sys += ran
         if item.remaining <= 0:
             self._items.remove(item)
+            if item.owner is None:
+                self._unclaimed -= 1
+            else:
+                del self._claims[item.owner]
             if not self._items:
                 self._enter_idle()
             item.done.succeed(item)
@@ -148,7 +160,7 @@ class GuestKernel:
     @property
     def has_unclaimed_work(self) -> bool:
         """Whether a VCPU waking up now would find an item to serve."""
-        return any(item.owner is None for item in self._items)
+        return self._unclaimed > 0
 
     @property
     def queue_length(self) -> int:

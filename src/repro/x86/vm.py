@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..sim import Event, Simulator
 from .guest import GuestKernel, WorkItem
-from .vcpu import VCPU
+from .vcpu import VCPU, VCPUState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .credit import CreditScheduler
@@ -64,9 +64,7 @@ class VirtualMachine:
         # Wake only as many VCPUs as there are unclaimed items: a single
         # serial workload (one kernel thread) must occupy one VCPU, not
         # keep every VCPU of the domain hot.
-        from .vcpu import VCPUState  # noqa: PLC0415 — avoids cycle at module load
-
-        needed = sum(1 for item in self.guest._items if item.owner is None)
+        needed = self.guest._unclaimed
         for vcpu in self.vcpus:
             if needed <= 0:
                 break

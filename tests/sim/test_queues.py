@@ -229,3 +229,68 @@ def test_property_capacity_never_exceeded(capacity, items):
     sim.spawn(consumer(sim))
     sim.run()
     assert all(count <= capacity for count in observed)
+
+
+def put_spelling_of_try_put(store, item):
+    """``try_put`` spelled with ``put``: the StorePut it files is dropped."""
+    if store.is_full:
+        return False
+    store.put(item)
+    return True
+
+
+def run_store_script(script, capacity, try_put):
+    """Drive one store through ``script``; log every get as (now, value)."""
+    sim = Simulator()
+    store = Store(sim, capacity=capacity)
+    log, results = [], []
+
+    def ops(sim):
+        for n, op in enumerate(script):
+            if op[0] == "try_put":
+                results.append(try_put(store, n))
+            elif op[0] == "put":
+                store.put(n)
+            elif op[0] == "get":
+                store.get().callbacks.append(lambda ev: log.append((sim.now, ev.value)))
+            else:
+                yield op[1]
+
+    sim.spawn(ops(sim))
+    sim.run()
+    return log, results, sim.events
+
+
+STORE_SCRIPTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("try_put")),
+        st.tuples(st.just("put")),
+        st.tuples(st.just("get")),
+        st.tuples(st.just("wait"), st.integers(min_value=0, max_value=3)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([None, 1, 2, 3]), STORE_SCRIPTS)
+def test_property_try_put_matches_put_without_its_event(capacity, script):
+    """try_put serves getters exactly as put would, minus the StorePut."""
+    log, results, events = run_store_script(script, capacity, Store.try_put)
+    ref_log, ref_results, ref_events = run_store_script(
+        script, capacity, put_spelling_of_try_put
+    )
+    assert log == ref_log
+    assert results == ref_results
+    assert events == ref_events - sum(ref_results)
+
+
+def test_try_put_on_full_store_has_no_side_effect():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    store.put("a")
+    blocked = store.put("b")
+    before = (list(store.items), len(store._putters), len(store._getters), sim.events)
+    assert store.try_put("c") is False
+    assert (list(store.items), len(store._putters), len(store._getters), sim.events) == before
+    assert not blocked.triggered

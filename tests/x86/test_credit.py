@@ -247,6 +247,23 @@ class TestCaps:
         with pytest.raises(ValueError):
             sched.set_cap(vm, -5)
 
+    def test_stale_preempt_on_idle_core_is_absorbed(self):
+        """A DVFS preempt due on the instant a capped burst ends must not
+        crash the idle wait the core falls into."""
+        sim, sched = make_host()
+        vm = VirtualMachine(sim, "capped")
+        sched.add_domain(vm)
+        sched.set_cap(vm, 50)
+        done = [vm.execute(ms(5)) for _ in range(10)]
+        # At 15 ms the cap (15 of 30 ms) runs out as the third item ends;
+        # the speed change files its preempt just before that burst wakes.
+        sim.call_at(ms(15), lambda: sched.set_cpu_speed(0, 0.5))
+        sim.run(until=ms(400))
+        assert sched.cpus[0].loop.is_alive
+        assert all(event.processed for event in done)
+        # 15 ms retired at full speed, the other 35 ms of demand at half.
+        assert vm.cpu_time() == ms(15) + 2 * ms(35)
+
 
 class TestMultiVCPU:
     def test_two_vcpus_use_two_cores(self):

@@ -1,6 +1,7 @@
 """Tests for the guest kernel: work items, claiming, accounting, iowait."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator, ms, us
 from repro.x86.guest import GuestKernel, WorkItem
@@ -153,3 +154,49 @@ class TestIowait:
         assert guest.outstanding_io == 2
         guest.io_end()
         assert guest.outstanding_io == 1
+
+
+def reference_choice(items, owner):
+    """The documented acquire order, by full scan: the owner's own claim,
+    then the oldest unclaimed sys item, then the oldest unclaimed user."""
+    for item in items:
+        if item.owner == owner:
+            return item
+    unclaimed = [item for item in items if item.owner is None]
+    for item in unclaimed:
+        if item.kind == "sys":
+            return item
+    return unclaimed[0] if unclaimed else None
+
+
+OPERATIONS = st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(["user", "sys"]),
+              st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("acquire"), st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("charge"), st.integers(min_value=0, max_value=50),
+              st.integers(min_value=1, max_value=5)),
+)
+
+
+class TestUnclaimedBookkeeping:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.lists(OPERATIONS, max_size=60))
+    def test_counts_and_choices_match_a_full_scan(self, owners, script):
+        guest = GuestKernel(Simulator(), "vm")
+        for op in script:
+            if op[0] == "submit":
+                guest.submit(op[2], kind=op[1])
+            elif op[0] == "acquire":
+                owner = f"v{op[1] % owners}"
+                expected = reference_choice(guest._items, owner)
+                assert guest.acquire_work(owner) is expected
+                if expected is not None:
+                    assert expected.owner == owner
+            elif guest._items:
+                item = guest._items[op[1] % len(guest._items)]
+                guest.charge(item, op[2])
+            scanned = sum(item.owner is None for item in guest._items)
+            assert guest._unclaimed == scanned
+            assert guest.has_unclaimed_work == any(
+                item.owner is None for item in guest._items
+            )

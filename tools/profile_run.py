@@ -1,9 +1,16 @@
-"""Profile a short RUBiS run under cProfile and print the hottest functions.
+"""Profile one experiment arm under cProfile and print the hottest functions.
 
 Usage::
 
-    PYTHONPATH=src python tools/profile_run.py [--duration SECONDS] [--top N]
+    PYTHONPATH=src python tools/profile_run.py [--arm {rubis,trigger}]
+                                               [--duration SECONDS] [--top N]
                                                [--sort KEY] [--output FILE]
+
+``--arm rubis`` (the default) is a short coordinated RUBiS run: guest
+work items, the credit scheduler and generator processes. ``--arm
+trigger`` is the buffer-trigger MPlayer arm of Figure 7 / Table 3 at its
+fixed length: periodic tasks, timer-wheel cascades, IXP queues and the
+polled driver.
 
 This is the tool that motivated the kernel fast path: before it, the top
 of this profile was dominated by ``Timeout.__init__`` / ``Event``
@@ -28,15 +35,32 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 os.environ.setdefault("REPRO_PARALLEL", "0")
 
-from repro.experiments import run_rubis  # noqa: E402  (path setup above)
+from repro.experiments import run_rubis, run_trigger_arm  # noqa: E402  (path setup above)
 from repro.sim import seconds  # noqa: E402
+
+
+def run_arm(arm: str, duration: float) -> str:
+    """Run one arm at seed 1; returns a one-line summary of its result."""
+    if arm == "trigger":
+        result = run_trigger_arm(buffer_trigger=True, seed=1)
+        return (f"MPlayer buffer-trigger arm: Dom1 {result.dom1_fps:.1f} fps, "
+                f"{result.triggers_sent} triggers sent")
+    result = run_rubis(coordinated=True, duration=seconds(duration), seed=1)
+    return (f"RUBiS coordinated, {duration:g} simulated seconds: "
+            f"throughput {result.throughput:.1f} req/s, "
+            f"mean response {result.overall.mean:.0f} ms")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--duration", type=float, default=10.0,
-        help="simulated seconds of RUBiS to run (default: 10)",
+        "--arm", default="rubis", choices=["rubis", "trigger"],
+        help="experiment arm to profile (default: rubis)",
+    )
+    parser.add_argument(
+        "--duration", type=float, default=None,
+        help="simulated seconds of RUBiS to run (default: 10); the "
+             "trigger arm always runs its fixed Figure 7 length",
     )
     parser.add_argument(
         "--top", type=int, default=25,
@@ -52,15 +76,15 @@ def main() -> None:
              "profiles across kernel changes)",
     )
     args = parser.parse_args()
+    if args.arm == "trigger" and args.duration is not None:
+        parser.error("--duration applies to the rubis arm only")
 
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_rubis(coordinated=True, duration=seconds(args.duration), seed=1)
+    summary = run_arm(args.arm, 10.0 if args.duration is None else args.duration)
     profiler.disable()
 
-    header = (f"RUBiS coordinated, {args.duration:g} simulated seconds: "
-              f"throughput {result.throughput:.1f} req/s, "
-              f"mean response {result.overall.mean:.0f} ms\n")
+    header = summary + "\n"
     if args.output is None:
         print(header)
         stats = pstats.Stats(profiler)

@@ -454,6 +454,8 @@ class FabricShardedArmResult:
     #: Execution side: allowed (expected!) to differ between arms.
     engine: str
     windows: int
+    #: Half-window grants per shard (two per plan window).
+    grants: int
     events: int
     wall_seconds: float
 
@@ -547,6 +549,7 @@ def run_fabric_sharded_arm(
         recovery_epoch=health.get("epoch", 0),
         engine=run.engine,
         windows=run.windows,
+        grants=run.grants,
         events=run.events,
         wall_seconds=run.wall_seconds,
     )

@@ -19,7 +19,7 @@ reference:
   budget; the whole run degrades to the inline engine, rebuilt from the
   journal.
 
-Reported per row: engine, respawn/crash/hang counts, replayed windows,
+Reported per row: engine, respawn/crash/hang counts, replayed grants,
 recovery wall time, and total wall time next to the clean baseline (the
 honest cost of self-healing). Simulation metrics never include any of
 these — the ``supervision.*`` counters describe the harness, not the
@@ -58,13 +58,14 @@ CHAOS_KNOBS = dict(
 
 
 def chaos_scenarios(
-    windows: int, shards: int
+    grants: int, shards: int
 ) -> tuple[tuple[str, FaultScript | None, dict], ...]:
-    """The scripted drills for a run of ``windows`` windows: (name,
-    fault script, ShardConfig overrides) triples."""
+    """The scripted drills for a run of ``grants`` half-window grants
+    (the fault hook's windows): (name, fault script, ShardConfig
+    overrides) triples."""
     victim = 1 % shards
-    mid = max(1, windows // 4)
-    late = max(2, (windows * 3) // 4)
+    mid = max(1, grants // 4)
+    late = max(2, (grants * 3) // 4)
     return (
         ("none", None, {}),
         ("crash", FaultScript(kills=((victim, mid),)), {}),
@@ -89,6 +90,7 @@ class ShardChaosArmResult:
     crashes: int
     hangs: int
     respawns: int
+    #: Half-window grants replayed to respawned workers.
     replayed_windows: int
     degraded: int
     #: Wall time spent inside recovery (kill -> caught up / replayed).
@@ -173,7 +175,7 @@ def run_shard_chaos(
                 reference_metrics, duration, seed, workers,
             )
             for scenario, script, overrides in chaos_scenarios(
-                reference.windows, plan.shards
+                reference.grants, plan.shards
             )
         ]
     return results

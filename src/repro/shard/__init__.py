@@ -28,17 +28,18 @@ The pieces:
   epoch-bump recovery for boundary links (the PR-5 fault idiom crossing
   shard boundaries).
 * :class:`ShardHost` — one shard's simulator + router + world, advanced
-  window by window.
-* :class:`WindowJournal` — the bounded per-run journal of every window
-  grant and routed inbound batch: the complete deterministic input of
+  grant by grant.
+* :class:`WindowJournal` — the bounded per-run journal of every
+  half-window grant and routed inbound batch: the complete deterministic input of
   any shard, and therefore the recovery substrate.
 * :class:`SupervisedEngine` / :class:`SupervisionLog` /
   :class:`FaultScript` — the self-healing process engine: barrier
   deadlines, heartbeat liveness probes, kill/respawn with backoff under
   a budget, fast-forward by journal replay, and whole-run degradation to
   the inline engine when recovery is out of moves.
-* :func:`run_sharded` — the coordinator: journals and grants windows,
-  barriers, routes boundary batches; runs shards inline (one process)
+* :func:`run_sharded` — the coordinator: grants each window as two
+  pipelined halves (two grants in flight), journals them, barriers,
+  routes boundary batches; runs shards inline (one process)
   or under supervised worker processes, with *bit-identical* results
   either way — even across worker crashes, hangs and degradations.
 """

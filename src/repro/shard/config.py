@@ -1,12 +1,12 @@
 """ShardConfig: the supervision knobs of a sharded run.
 
 One frozen dataclass, validated at construction and passed as
-``run_sharded(config=...)``: how long a window barrier may take before
+``run_sharded(config=...)``: how long a grant's barrier may take before
 a worker is declared hung (``barrier_timeout_s``), how often workers
 prove liveness (``heartbeat_interval_s`` / ``probe_timeout_s``), how
 many respawns a run may spend recovering crashed or hung workers
 (``max_respawns`` with ``respawn_backoff_s`` exponential backoff), and
-how many windows the recovery journal retains (``journal_limit``).
+how many grants the recovery journal retains (``journal_limit``).
 
 The shape of the run lives elsewhere: the shard count and window width
 in :class:`~repro.shard.plan.ShardPlan`, the worker budget in
@@ -29,7 +29,7 @@ class ShardConfig:
     take and how often it may happen.
     """
 
-    #: Wall-clock budget (seconds) for one window barrier, per awaited
+    #: Wall-clock budget (seconds) for one grant's barrier, per awaited
     #: frame. A worker that has not answered by the deadline is declared
     #: hung, killed and respawned. None disables the deadline (the
     #: pre-supervision block-forever behaviour).
@@ -49,10 +49,11 @@ class ShardConfig:
     #: Base of the exponential respawn backoff: attempt ``n`` sleeps
     #: ``respawn_backoff_s * 2**(n-1)`` wall seconds (capped at 2 s).
     respawn_backoff_s: float = 0.05
-    #: Maximum windows the recovery journal retains. Older windows are
+    #: Maximum grants the recovery journal retains (a run grants every
+    #: plan window as two half-window grants). Older grants are
     #: evicted (counted); once eviction has happened, per-worker replay
     #: is impossible and any recovery recomputes inline from scratch.
-    #: None retains every window.
+    #: None retains every grant.
     journal_limit: Optional[int] = 8192
 
     def __post_init__(self) -> None:

@@ -7,6 +7,12 @@ shard (the same argument that makes ``shards=N`` bit-identical to
 ``shards=1``). The coordinator therefore journals exactly that, window
 by window: ``(window index, until, one routed batch per shard)``.
 
+A journal "window" is one entry, whatever the coordinator grants:
+:func:`~repro.shard.runtime.run_sharded` grants every plan window as two
+half-window grants, so each entry — and every count here
+(``windows_recorded``, the ``supervision.journal_windows`` counter, the
+``limit``) — is one *grant*, twice the run's plan-window count.
+
 When a worker crashes or hangs, the supervisor rebuilds its world from
 ``(build, build_args)`` and fast-forwards it by replaying the journal —
 granting the dead shard's windows again with the very batches it was

@@ -35,6 +35,11 @@ class ShardPlan:
         #: be fully independent; any window is safe).
         self.lookahead = topology.min_cross_cluster_latency()
         if window_ns is not None:
+            if window_ns < 2:
+                raise ValueError(
+                    f"window_ns={window_ns} is narrower than 2 ns: every "
+                    "window is granted as two non-empty halves"
+                )
             if self.lookahead is not None and window_ns > self.lookahead:
                 raise ValueError(
                     f"window_ns={window_ns} exceeds the lookahead "

@@ -1,20 +1,38 @@
-"""The shard coordinator: window grants, barriers, boundary routing.
+"""The shard coordinator: pipelined half-window grants, barriers, routing.
 
-One run is a sequence of lockstep windows. For each window ``[T, T+W)``
-(``W`` = the plan's lookahead-bounded width) the coordinator journals
-the window's complete input (:class:`~repro.shard.journal.WindowJournal`),
-grants every shard the window, barriers on their completion, collects
-the boundary messages each produced, routes them to the shard owning
-each destination island, and folds them into the next grant.
-Conservative lookahead guarantees every routed message is due *at or
-after* the next window's start, so no shard ever receives a message from
-its past.
+One run is a sequence of lockstep plan windows ``[T, T+W)`` (``W`` = the
+plan's lookahead-bounded width, the last one cut short at ``duration``).
+The coordinator grants each plan window as two *half-grants* and keeps
+two of them outstanding, so a worker always finds its next grant waiting
+in the pipe while the coordinator barriers on, routes and journals the
+previous one:
 
-Two engines run the same protocol:
+* every grant is journaled (:class:`~repro.shard.journal.WindowJournal`,
+  one entry per grant) before it is sent; the coordinator barriers on
+  grant ``k``, routes the boundary messages it produced to the shard
+  owning each destination island, and folds them into grant ``k+2`` —
+  while grant ``k+1`` runs;
+* this is safe because a message sent during grant ``k`` (which starts
+  at ``S_k``) is due at least ``L`` (the lookahead) after ``S_k``, and
+  any two consecutive half-grants span at most ``W <= L``, so the
+  message cannot be due before grant ``k+2`` starts — the first grant
+  it can be folded into;
+* it cannot change any result, because a shard applies deliveries in
+  ``(deliver_at, dst, src, seq)`` order at ``run_until(due)``
+  (:class:`~repro.shard.host.ShardHost`): when a message was enqueued
+  and where a grant edge falls never enter that order.
+
+``ShardRunResult.windows`` counts plan windows; ``grants`` counts
+half-grants (twice as many). The journal, the fault hook's
+``window_index`` and the ``supervision.replayed_windows`` /
+``supervision.journal_windows`` counters all count grants.
+
+Two engines run the same ``grant``/``collect`` loop
+(:class:`_GrantPipeline`):
 
 * **inline** — every :class:`~repro.shard.host.ShardHost` lives in this
-  process (``shards=1``, serial degradation, and the reference arm of
-  the bit-equality tests);
+  process and runs each grant serially as it is issued (``shards=1``,
+  serial degradation, and the reference arm of the bit-equality tests);
 * **process** — one supervised worker process per shard
   (:class:`~repro.shard.supervisor.SupervisedEngine`) over seq-numbered
   framed pipes, with barrier deadlines, heartbeat liveness probes and
@@ -28,14 +46,15 @@ budget spent, journal truncated) — degrades to the inline engine, with
 the cause recorded per run (:class:`DegradationLog`) and never with a
 different simulation result: the inline engine is rebuilt from the
 journal (or, when the journal is truncated, by deterministic
-recomputation from scratch), so degraded runs stay bit-identical to
-undisturbed ones.
+recomputation from scratch through the same loop), so degraded runs
+stay bit-identical to undisturbed ones.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -92,11 +111,15 @@ class ShardRunResult:
     results: list
     shards: int
     engine: str
+    #: Plan windows run (``ceil(duration / window)``).
     windows: int
+    #: Half-window grants issued to every shard (``2 * windows``).
+    grants: int
     events: int
     wall_seconds: float
-    #: Boundary messages still in flight when the run ended (due at or
-    #: after ``duration``; identical across engines).
+    #: Boundary messages still in flight when the run ended: the routed
+    #: output of the final plan window (due at or after ``duration``;
+    #: identical across engines).
     undelivered: int
     counters: dict = field(default_factory=dict)
     #: :meth:`~repro.shard.supervisor.SupervisionLog.summary` of the
@@ -110,7 +133,8 @@ class ShardRunResult:
 
 
 class _InlineEngine:
-    """All shard hosts in this process, stepped in shard order."""
+    """All shard hosts in this process; each grant runs, in shard order,
+    as soon as it is issued, and its outbound waits for ``collect``."""
 
     name = "inline"
 
@@ -119,13 +143,17 @@ class _InlineEngine:
             ShardHost(plan, index, build, build_args=build_args, fastpath=fastpath)
             for index in range(plan.shards)
         ]
+        self._outbound: deque[list] = deque()
 
-    def step(self, until: int, batches: list) -> list:
+    def grant(self, until: int, batches: list) -> None:
         outbound = []
         for host, batch in zip(self.hosts, batches):
             host.enqueue(batch)
             outbound.append(host.advance(until))
-        return outbound
+        self._outbound.append(outbound)
+
+    def collect(self) -> list:
+        return self._outbound.popleft()
 
     def finish(self) -> list:
         return [
@@ -152,49 +180,120 @@ def _route(plan: ShardPlan, outbound: list) -> list[list[BoundaryMessage]]:
     return batches
 
 
+def _half_grants(window: int, duration: int) -> list[int]:
+    """The exclusive end of every half-grant: each plan window
+    ``[T, T+W)`` (the last cut at ``duration``) split at its midpoint.
+    A 1 ns window yields an empty first half, which runs nothing."""
+    untils: list[int] = []
+    now = 0
+    while now < duration:
+        end = min(now + window, duration)
+        untils += (now + (end - now) // 2, end)
+        now = end
+    return untils
+
+
+class _GrantPipeline:
+    """The coordinator's one grant/collect loop, two half-grants deep.
+
+    Grant ``k+2`` carries the routed output of grant ``k``; grants
+    ``k+1`` and ``k+2`` are both outstanding while grant ``k+1`` is
+    collected. ``degrade`` (when given) swaps a failed engine for a
+    rebuilt inline one holding the same issued and collected grants.
+    """
+
+    def __init__(
+        self,
+        plan: ShardPlan,
+        engine,
+        untils: list[int],
+        journal: Optional[WindowJournal] = None,
+        degrade=None,
+    ):
+        self.plan = plan
+        self.engine = engine
+        self.untils = untils
+        self.journal = journal
+        self.degrade = degrade
+        #: Grants sent to the engine / barriered and routed so far.
+        self.issued = 0
+        self.collected = 0
+        #: Routed batches waiting for their grant; two empty ones feed
+        #: grants 0 and 1, and the two left at the end are the routed
+        #: output of the final plan window.
+        self.routed: deque[list[list[BoundaryMessage]]] = deque(
+            [[] for _ in range(plan.shards)] for _ in range(2)
+        )
+
+    def run(self, upto: int) -> None:
+        """Collect until ``upto`` grants are barriered, issuing every
+        grant whose inbound batches are routed."""
+        while True:
+            while self.routed and self.issued < len(self.untils):
+                self._issue(self.routed.popleft())
+            if self.collected == upto:
+                return
+            self.routed.append(self._collect())
+
+    def _issue(self, batches: list) -> None:
+        until = self.untils[self.issued]
+        if self.journal is not None:
+            self.journal.record(self.issued, until, batches)
+        self.issued += 1
+        try:
+            self.engine.grant(until, batches)
+        except SupervisionExhausted as exc:
+            self.degrade(self, str(exc))  # the rebuilt engine holds this grant
+
+    def _collect(self) -> list[list[BoundaryMessage]]:
+        try:
+            outbound = self.engine.collect()
+        except SupervisionExhausted as exc:
+            self.degrade(self, str(exc))
+            outbound = self.engine.collect()
+        self.collected += 1
+        return _route(self.plan, outbound)
+
+
 def _degrade_to_inline(
-    old_engine,
+    pipeline: _GrantPipeline,
     cause: str,
-    plan: ShardPlan,
     build,
     build_args: tuple,
     fastpath: bool,
-    journal: WindowJournal,
-    windows: int,
-    window: int,
-    duration: int,
     log: SupervisionLog,
     degradations: DegradationLog,
-) -> _InlineEngine:
-    """Swap the whole run onto a fresh inline engine, fast-forwarded to
-    window ``windows``: from the journal when it is complete, otherwise
-    by deterministic recomputation from scratch. Either way the inline
-    hosts land bit-identical to a run that was never disturbed."""
+) -> None:
+    """Swap the whole run onto a fresh inline engine holding the
+    pipeline's issued and collected grants: from the journal when it is
+    complete, otherwise by deterministic recomputation from scratch.
+    Either way the inline hosts land bit-identical to a run that was
+    never disturbed."""
     started = time.monotonic()
     degradations.note(cause)
     log.note("degraded-inline", cause=cause)
-    old_engine.close()
+    pipeline.engine.close()
+    plan, journal = pipeline.plan, pipeline.journal
     engine = _InlineEngine(plan, build, build_args, fastpath)
-    if windows:
+    if pipeline.issued:
         if journal.complete:
-            for _index, until, batches in journal.replay(upto=windows):
-                engine.step(until, batches)
+            for _index, until, batches in journal.replay(upto=pipeline.issued):
+                engine.grant(until, batches)
+            for _ in range(pipeline.collected):
+                engine.collect()
             source = "journal"
         else:
-            # The journal lost its oldest windows; recompute the prefix —
-            # the same loop as the live run, so the result is identical.
-            batches: list[list[BoundaryMessage]] = [[] for _ in range(plan.shards)]
-            now = 0
-            for _w in range(windows):
-                until = min(now + window, duration)
-                batches = _route(plan, engine.step(until, batches))
-                now = until
+            # The journal lost its oldest grants; recompute them through
+            # the live loop itself, so the result is identical.
+            _GrantPipeline(plan, engine, pipeline.untils[:pipeline.issued]).run(
+                pipeline.collected
+            )
             source = "recompute"
         log.note(
-            "inline-replay", windows=windows, source=source,
+            "inline-replay", grants=pipeline.issued, source=source,
             wall_s=round(time.monotonic() - started, 6),
         )
-    return engine
+    pipeline.engine = engine
 
 
 def run_sharded(
@@ -256,35 +355,23 @@ def run_sharded(
     if engine is None:
         engine = _InlineEngine(plan, build, build_args, fastpath)
     start = time.perf_counter()
-    batches: list[list[BoundaryMessage]] = [[] for _ in range(plan.shards)]
-    now = 0
-    windows = 0
-    degrade_args = (plan, build, build_args, fastpath, journal)
+    untils = _half_grants(window, duration)
+
+    def degrade(pipeline: _GrantPipeline, cause: str) -> None:
+        _degrade_to_inline(
+            pipeline, cause, build, build_args, fastpath, log, degradations
+        )
+
+    pipeline = _GrantPipeline(plan, engine, untils, journal, degrade)
     try:
-        while now < duration:
-            until = min(now + window, duration)
-            journal.record(windows, until, batches)
-            try:
-                outbound = engine.step(until, batches)
-            except SupervisionExhausted as exc:
-                engine = _degrade_to_inline(
-                    engine, str(exc), *degrade_args,
-                    windows, window, duration, log, degradations,
-                )
-                outbound = engine.step(until, batches)
-            batches = _route(plan, outbound)
-            now = until
-            windows += 1
+        pipeline.run(len(untils))
         try:
-            shard_results = engine.finish()
+            shard_results = pipeline.engine.finish()
         except SupervisionExhausted as exc:
-            engine = _degrade_to_inline(
-                engine, str(exc), *degrade_args,
-                windows, window, duration, log, degradations,
-            )
-            shard_results = engine.finish()
+            degrade(pipeline, str(exc))
+            shard_results = pipeline.engine.finish()
     finally:
-        engine.close()
+        pipeline.engine.close()
     wall = time.perf_counter() - start
     counters: dict[str, int] = {}
     for entry in shard_results:
@@ -297,11 +384,14 @@ def run_sharded(
     return ShardRunResult(
         results=[entry["result"] for entry in shard_results],
         shards=plan.shards,
-        engine=engine.name,
-        windows=windows,
+        engine=pipeline.engine.name,
+        windows=len(untils) // 2,
+        grants=len(untils),
         events=sum(entry["events"] for entry in shard_results),
         wall_seconds=wall,
-        undelivered=sum(len(batch) for batch in batches),
+        undelivered=sum(
+            len(batch) for batches in pipeline.routed for batch in batches
+        ),
         counters=counters,
         supervision=supervision,
     )

@@ -4,7 +4,7 @@
 :func:`~repro.shard.runtime.run_sharded`, wrapped in the reflective
 supervise-and-recover loop the coordinator itself was missing: every
 frame awaited from a worker carries a wall-clock deadline (the
-per-window barrier budget of
+per-grant barrier budget of
 :attr:`~repro.shard.config.ShardConfig.barrier_timeout_s`), every worker
 proves liveness with heartbeat frames from a side thread, and a worker
 that crashes (pipe EOF, process exit) or hangs (deadline or probe
@@ -13,6 +13,13 @@ respawn budget, rebuilt from ``(build, build_args)`` and fast-forwarded
 by replaying the :class:`~repro.shard.journal.WindowJournal` — the
 reborn shard is bit-identical to a never-crashed one because the journal
 is its complete input.
+
+The coordinator keeps two half-window grants outstanding
+(:mod:`repro.shard.runtime`), so a failed worker may owe up to two
+un-barriered grants. Recovery replays the barriered ones from the
+journal, awaiting each, then re-sends every outstanding grant; the
+coordinator's next barrier then collects them from the reborn worker as
+if nothing happened.
 
 Two failure classes are deliberately *not* respawned around:
 
@@ -36,7 +43,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -78,6 +85,9 @@ class _WorkerFailure(Exception):
 @dataclass(frozen=True)
 class FaultScript:
     """Picklable scripted worker faults for chaos drills.
+
+    Windows here are the worker's grant indices (two half-window grants
+    per plan window), as the fault hook sees them.
 
     Fires inside the worker via the fault-hook protocol (see
     :mod:`repro.shard.worker`): kills are ``os._exit`` (no error frame —
@@ -128,7 +138,8 @@ class SupervisionLog:
         self.events: list[tuple[float, str, dict]] = []
         #: Heartbeat frames observed (counted, never logged: volume).
         self.heartbeats = 0
-        #: Windows re-granted to respawned workers (journal fast-forward).
+        #: Barriered grants replayed to respawned workers (journal
+        #: fast-forward); a count of half-window grants, not plan windows.
         self.replayed_windows = 0
 
     def note(self, kind: str, **payload: Any) -> None:
@@ -251,8 +262,11 @@ class SupervisedEngine:
         self.log = log if log is not None else SupervisionLog()
         self.fault_hook = fault_hook
         self.respawns_spent = 0
-        #: Completed (barriered) windows — the replay horizon.
-        self.windows = 0
+        #: Barriered grants (every shard answered) — the replay horizon.
+        self.grants = 0
+        #: Sent but not yet barriered grants, oldest first: ``(until,
+        #: per-shard batches)``. Recovery re-sends all of them.
+        self._inflight: deque[tuple[int, list]] = deque()
         self._ctx = multiprocessing.get_context()
         self.workers: list[Optional[_WorkerHandle]] = [None] * plan.shards
         try:
@@ -289,7 +303,7 @@ class SupervisedEngine:
                 self._await(self.workers[index], ("ready",))
                 return
             except _WorkerFailure as failure:
-                self._recover(failure, regrant=None)
+                self._recover(failure)
                 return  # _recover already awaited ready + replayed
 
     def _await(self, handle: _WorkerHandle, kinds: tuple) -> Any:
@@ -301,7 +315,7 @@ class SupervisedEngine:
         """
         barrier = self.config.barrier_timeout_s
         # Without heartbeats a busy worker is legitimately silent for a
-        # whole window, so the probe only applies when they are on.
+        # whole grant, so the probe only applies when they are on.
         probe = (
             self.config.probe_timeout_s
             if self.config.heartbeat_interval_s > 0 else None
@@ -362,12 +376,10 @@ class SupervisedEngine:
 
     # -- recovery -------------------------------------------------------------
 
-    def _recover(
-        self, failure: _WorkerFailure, regrant: Optional[tuple] = None
-    ) -> None:
+    def _recover(self, failure: _WorkerFailure) -> None:
         """Kill the offender, respawn with backoff under the budget,
-        rebuild its world, fast-forward it by replaying the journal, and
-        (when ``regrant`` is given) re-grant the interrupted window.
+        rebuild its world, fast-forward it by replaying the journal's
+        barriered grants, and re-send every outstanding grant.
 
         Raises :class:`SupervisionExhausted` when the budget is spent or
         the journal can no longer serve the replay.
@@ -376,11 +388,11 @@ class SupervisedEngine:
         started = time.monotonic()
         self.log.note(f"worker-{failure.kind}", shard=index, detail=failure.detail)
         self.workers[index].kill()
-        if self.windows and not self.journal.complete:
+        if self.grants and not self.journal.complete:
             self.log.note("journal-truncated", shard=index,
                           oldest=self.journal.first_index)
             raise SupervisionExhausted(
-                f"journal truncated (oldest retained window "
+                f"journal truncated (oldest retained grant "
                 f"{self.journal.first_index}); cannot replay shard {index} "
                 f"after {failure}"
             )
@@ -403,18 +415,24 @@ class SupervisedEngine:
             try:
                 self._await(handle, ("ready",))
                 replayed = 0
-                for _w, until, batch in self.journal.replay(
-                    shard=index, upto=self.windows
+                for _g, until, batch in self.journal.replay(
+                    shard=index, upto=self.grants
                 ):
                     self._send(handle, "grant", (until, batch))
                     self._await(handle, ("done",))
                     replayed += 1
-                if regrant is not None:
-                    self._send(handle, "grant", regrant)
+                try:
+                    for until, batches in self._inflight:
+                        self._send(handle, "grant", (until, batches[index]))
+                except _WorkerFailure:
+                    # Reborn and caught up, then died on an outstanding
+                    # grant: a new failure, which the next barrier's
+                    # await detects and recovers like any other.
+                    pass
                 self.log.replayed_windows += replayed
                 self.log.note(
                     "worker-respawned", shard=index, attempt=attempt,
-                    replayed=replayed,
+                    replayed=replayed, regranted=len(self._inflight),
                     wall_s=round(time.monotonic() - started, 6),
                 )
                 return
@@ -426,15 +444,17 @@ class SupervisedEngine:
 
     # -- the engine contract --------------------------------------------------
 
-    def step(self, until: int, batches: list) -> list:
-        granted = [False] * self.plan.shards
-        for handle, batch in zip(self.workers, batches):
+    def grant(self, until: int, batches: list) -> None:
+        """Send every shard its batch of the next grant; no waiting."""
+        self._inflight.append((until, batches))
+        for index in range(self.plan.shards):
             try:
-                self._send(handle, "grant", (until, batch))
-                granted[handle.index] = True
+                self._send(self.workers[index], "grant", (until, batches[index]))
             except _WorkerFailure as failure:
-                self._recover(failure, regrant=(until, batches[failure.index]))
-                granted[failure.index] = True
+                self._recover(failure)  # re-sends this grant too
+
+    def collect(self) -> list:
+        """Barrier on the oldest outstanding grant; every shard's outbound."""
         outbound: list = [None] * self.plan.shards
         for index in range(self.plan.shards):
             while True:
@@ -443,8 +463,9 @@ class SupervisedEngine:
                     outbound[index] = frame.payload[0]
                     break
                 except _WorkerFailure as failure:
-                    self._recover(failure, regrant=(until, batches[index]))
-        self.windows += 1
+                    self._recover(failure)
+        self._inflight.popleft()
+        self.grants += 1
         return outbound
 
     def finish(self) -> list:
@@ -457,7 +478,7 @@ class SupervisedEngine:
                     results[index] = frame.payload
                     break
                 except _WorkerFailure as failure:
-                    self._recover(failure, regrant=None)
+                    self._recover(failure)
         # Result in hand, the worker must actually exit: a still-alive
         # process after the grace period is detected, counted and killed
         # instead of being silently accepted (it used to leak).
@@ -481,5 +502,5 @@ class SupervisedEngine:
     def __repr__(self) -> str:
         return (
             f"<SupervisedEngine shards={self.plan.shards} "
-            f"windows={self.windows} respawns={self.respawns_spent}>"
+            f"grants={self.grants} respawns={self.respawns_spent}>"
         )

@@ -4,8 +4,13 @@ Protocol (every frame sequence-numbered by
 :class:`~repro.interconnect.FramedConnection`; the supervising
 coordinator side lives in :mod:`repro.shard.supervisor`):
 
-* worker -> ``ready`` after building its world;
-* coordinator -> ``grant (until, batch)`` per window; worker replies
+* worker -> ``ready`` after building its world and freezing it out of
+  the cyclic garbage collector (``gc.freeze``: the built world lives
+  for the whole run, so scanning it on every old-generation collection
+  is pure waste; this happens in worker processes only, never in the
+  coordinator or an inline run);
+* coordinator -> ``grant (until, batch)`` per half-window grant, up to
+  two outstanding at a time; the worker answers each, in order, with
   ``done (outbound, events)``;
 * coordinator -> ``finish``; worker replies ``result (collect, events,
   counters)`` and exits;
@@ -15,7 +20,7 @@ coordinator side lives in :mod:`repro.shard.supervisor`):
   the supervisor never respawns around an ``error`` frame);
 * worker -> ``heartbeat`` from a daemon thread every
   ``heartbeat_interval`` wall seconds, proving the process alive while
-  the main thread simulates a window.
+  the main thread simulates a grant.
 
 A respawned worker is indistinguishable from a first-born one on the
 wire: the coordinator replays its journaled grants in order and the
@@ -27,11 +32,12 @@ once and stay quiet during the replay.
 The fault hook, when given, must be a module-level picklable callable
 ``hook(shard_index, window_index, attempt)``. It is invoked with
 ``window_index=BUILD_WINDOW`` before the world is built, with the
-running window count (0, 1, 2, ...) before each granted window is
-simulated, and with ``window_index=FINISH_WINDOW`` after the result
-frame is sent (the hook that refuses to let the process exit). Hooks
-kill (``os._exit``) or hang (``time.sleep``) the worker; they must not
-touch simulation state, or the replay-equality argument is void.
+running *grant* count (0, 1, 2, ...; two half-window grants per plan
+window) before each grant is simulated, and with
+``window_index=FINISH_WINDOW`` after the result frame is sent (the hook
+that refuses to let the process exit). Hooks kill (``os._exit``) or
+hang (``time.sleep``) the worker; they must not touch simulation state,
+or the replay-equality argument is void.
 
 The worker marks itself with the runner's in-worker env flag, so any
 fan-out attempted inside a shard (an experiment nested in a world)
@@ -40,6 +46,7 @@ degrades to serial instead of spawning pools of pools.
 
 from __future__ import annotations
 
+import gc
 import threading
 import traceback
 from typing import Callable, Optional
@@ -90,6 +97,7 @@ def shard_worker_main(
         host = ShardHost(
             plan, shard_index, build, build_args=build_args, fastpath=fastpath
         )
+        gc.freeze()
         if heartbeat_interval > 0:
             threading.Thread(
                 target=_heartbeat_loop,
@@ -98,7 +106,7 @@ def shard_worker_main(
                 daemon=True,
             ).start()
         link.send("ready")
-        window = 0
+        grant = 0
         while True:
             frame = link.recv(expect=("grant", "finish"))
             if frame.kind == "finish":
@@ -113,11 +121,11 @@ def shard_worker_main(
                 return
             until, batch = frame.payload
             if fault_hook is not None:
-                fault_hook(shard_index, window, attempt)
+                fault_hook(shard_index, grant, attempt)
             host.enqueue(batch)
             outbound = host.advance(until)
             link.send("done", (outbound, host.events))
-            window += 1
+            grant += 1
     except Exception:
         stop_heartbeats.set()
         try:

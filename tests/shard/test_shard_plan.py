@@ -55,6 +55,14 @@ class TestWindow:
         with pytest.raises(ValueError, match="lookahead"):
             ShardPlan(_topo(), shards=2, window_ns=ms(11))
 
+    @pytest.mark.parametrize("window_ns", [1, 0, -5])
+    def test_window_that_cannot_be_halved_rejected(self, window_ns):
+        with pytest.raises(ValueError, match="narrower than 2 ns"):
+            ShardPlan(_topo(), shards=2, window_ns=window_ns)
+
+    def test_two_nanosecond_window_accepted(self):
+        assert ShardPlan(_topo(), shards=2, window_ns=2).window == 2
+
     def test_narrower_window_accepted(self):
         plan = ShardPlan(_topo(), shards=2, window_ns=ms(2))
         assert plan.window == ms(2)

@@ -120,6 +120,12 @@ HANG_AT_BARRIER = FaultScript(hangs=((0, 6, HANG_S),))
 KILL_EVERY_LIFE = FaultScript(kills=((1, 5),), persistent=True)
 KILL_LATE = FaultScript(kills=((1, 20),))
 HANG_AFTER_RESULT = FaultScript(hangs=((1, FINISH_WINDOW, HANG_S),))
+# Fault windows are grant indices; a worker starting grant k already
+# has grant k+1 waiting in its pipe, so each of these faults strikes
+# with two grants outstanding.
+KILL_SECOND_HALF = FaultScript(kills=((1, 5),))
+HANG_NEXT_HALF_GRANTED = FaultScript(hangs=((0, 7, HANG_S),))
+KILL_SECOND_HALF_EVERY_LIFE = FaultScript(kills=((1, 9),), persistent=True)
 
 
 class TestCrashRecovery:
@@ -219,6 +225,56 @@ class TestDegradation:
             if kind == "inline-replay"
         )
         assert replay["source"] == "recompute"
+        assert merged(run) == merged(reference)
+
+
+def event(run, kind):
+    """Payload of the first supervision event of ``kind``."""
+    return next(
+        payload for _, event_kind, payload in run.supervision["events"]
+        if event_kind == kind
+    )
+
+
+class TestTwoGrantsInFlight:
+    def test_crash_on_a_second_half_grant_regrants_both_outstanding(
+        self, process_env, reference
+    ):
+        run = chaos_run(KILL_SECOND_HALF)
+        assert run.engine == "process"
+        assert run.counters["supervision.crashes"] == 1
+        assert run.counters["supervision.respawns"] == 1
+        # Grants 0..4 were barriered and replayed; grant 5 (the second
+        # half of plan window 2) and grant 6 were outstanding.
+        assert run.counters["supervision.replayed_windows"] == 5
+        respawn = event(run, "worker-respawned")
+        assert (respawn["replayed"], respawn["regranted"]) == (5, 2)
+        assert merged(run) == merged(reference)
+
+    def test_hang_with_the_next_half_already_granted(
+        self, process_env, reference
+    ):
+        run = chaos_run(HANG_NEXT_HALF_GRANTED)
+        assert run.engine == "process"
+        assert run.counters["supervision.hangs"] == 1
+        assert run.counters["supervision.respawns"] == 1
+        assert "barrier deadline" in event(run, "worker-hang")["detail"]
+        respawn = event(run, "worker-respawned")
+        assert (respawn["replayed"], respawn["regranted"]) == (7, 2)
+        assert merged(run) == merged(reference)
+
+    def test_budget_exhaustion_with_two_grants_outstanding_degrades_inline(
+        self, process_env, reference
+    ):
+        run = chaos_run(KILL_SECOND_HALF_EVERY_LIFE, max_respawns=1)
+        assert run.engine == "inline"
+        assert run.counters["supervision.respawns"] == 1
+        assert run.counters["supervision.crashes"] >= 2
+        assert run.counters["supervision.degraded_inline"] == 1
+        # The inline engine took over all 11 issued grants: the 9
+        # barriered ones plus the 2 outstanding.
+        replay = event(run, "inline-replay")
+        assert (replay["source"], replay["grants"]) == ("journal", 11)
         assert merged(run) == merged(reference)
 
 

@@ -8,7 +8,7 @@ process) and asserts the recovery story end to end:
 * the run stays on the **process** engine (the supervisor respawned the
   dead worker instead of degrading the run),
 * exactly one crash and one respawn are counted, with journal-replayed
-  windows fast-forwarding the reborn shard,
+  grants fast-forwarding the reborn shard,
 * the merged simulation metrics are **bit-identical** to an undisturbed
   single-process reference — a killed-and-recovered run leaks nothing,
 * the recovery wall-time overhead is bounded (replay must be cheap
@@ -40,8 +40,9 @@ from repro.sim import ms  # noqa: E402
 K = 128
 DURATION = ms(500)
 SEED = 1
-#: Kill one worker a quarter of the way through the run.
-KILL_WINDOW = 25
+#: Kill one worker a quarter of the way through the run: fault-hook
+#: windows are half-window grants, 200 of them in 500 ms at 5 ms.
+KILL_WINDOW = 50
 #: Replayed windows must not cost more than the whole clean run again
 #: (generous: replay skips routing and runs one shard, not all).
 MAX_OVERHEAD_RATIO = 1.0
@@ -122,9 +123,9 @@ def main() -> int:
         json.dump(report, fh, indent=2)
 
     print(
-        f"shard chaos smoke OK: K={K}, worker killed at window "
+        f"shard chaos smoke OK: K={K}, worker killed at grant "
         f"{KILL_WINDOW}, respawned (+{killed.counters['supervision.replayed_windows']} "
-        f"replayed windows), bit-identical; recovery {recovery_s:.2f}s, "
+        f"replayed grants), bit-identical; recovery {recovery_s:.2f}s, "
         f"overhead +{overhead_s:.2f}s over a {clean.wall_seconds:.2f}s clean run"
     )
     return 0

@@ -14,7 +14,8 @@ guarantee plus the fault arc:
   and the spare entity converged fabric-wide after the heal.
 
 Writes a ``shard_smoke.json`` artefact with both arms' events/sec and
-wall clock so runner-to-runner throughput is trackable over time.
+wall clock, plus the sharded arm's plan-window and half-window grant
+counts, so runner-to-runner throughput is trackable over time.
 
 Exits non-zero on any mismatch.
 
@@ -73,6 +74,8 @@ def main() -> int:
         "sharded": {
             "engine": sharded.engine,
             "shards": sharded.shards,
+            "windows": sharded.windows,
+            "grants": sharded.grants,
             "wall_seconds": sharded.wall_seconds,
             "events_per_second": sharded.events_per_second,
             "speedup": (

@@ -21,8 +21,9 @@ plane whose cross-cluster traffic all rides boundary messages:
   credit weight;
 * **gossip** — aggregators push their dynamic-entity views around a
   ring of peer links, a root-free dissemination path;
-* **heartbeats** — a :class:`~repro.shard.LinkHealth` pair guards every
-  aggregator <-> root uplink.
+* **heartbeats** — a pair of the fault domain's heartbeat detectors
+  (:func:`~repro.shard.boundary_detector`) guards every aggregator <->
+  root uplink.
 
 Mid-run a scripted blackout partitions the last cluster's aggregator
 from every cross-cluster link; a spare entity registers while isolated.
@@ -43,10 +44,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..faults import ChannelBlackout
+from ..faults import ChannelBlackout, FaultConfig
 from ..metrics import OnlineStats
 from ..platform import EntityId, FabricTopology
-from ..shard import LinkHealth, ShardPlan, run_sharded
+from ..shard import ShardPlan, boundary_detector, run_sharded
 from ..sim import PeriodicTask, RandomStreams, ms, seconds
 from ..x86 import X86Island, X86Params
 from .fabric import (
@@ -70,6 +71,8 @@ UPLINK_LATENCY = ms(10)
 GOSSIP_PERIOD = ms(50)
 #: Root tune step applied to the worst over-budget cluster's worst probe.
 ROOT_TUNE_DELTA = 128
+#: Uplink heartbeat cadence and thresholds: the fault domain's defaults.
+UPLINK_DETECTION = FaultConfig()
 
 
 def sharded_topology(num_islands: int, fanout: int = FANOUT) -> FabricTopology:
@@ -123,11 +126,13 @@ class _ClusterAgent:
         self.tunes_received = 0
         router, sim = world.router, world.sim
         router.register(self.aggregator, "tune", self._on_tune)
-        router.register(self.aggregator, "gossip", self._on_gossip)
+        router.register(self.aggregator, "gossip", self._on_view)
         if not self.is_root:
             router.register(self.aggregator, "announce", self._on_announce)
-            router.register(self.aggregator, "sync", self._on_sync)
-            self.uplink = LinkHealth(sim, router, self.aggregator, topo.root)
+            router.register(self.aggregator, "sync", self._on_view)
+            self.uplink = boundary_detector(
+                sim, router, self.aggregator, topo.root, UPLINK_DETECTION
+            )
             self.uplink.on_up(self._replay_view)
         else:
             self.uplink = None
@@ -166,10 +171,11 @@ class _ClusterAgent:
             self.reports_sent += 1
 
     def _on_tune(self, message) -> None:
-        member = message.payload["member"]
-        self.world.islands[member].apply_tune(
-            EntityId(member, "probe"), message.payload["delta"]
-        )
+        self.apply_root_tune(message.payload["member"], message.payload["delta"])
+
+    def apply_root_tune(self, member: str, delta: int) -> None:
+        """Actuate a root tune on ``member``'s probe credit weight."""
+        self.world.islands[member].apply_tune(EntityId(member, "probe"), delta)
         self.tunes_received += 1
 
     # -- the dynamic-entity view ---------------------------------------------
@@ -199,10 +205,6 @@ class _ClusterAgent:
     def _on_announce(self, message) -> None:
         self.merge(message.payload["name"], tuple(message.payload["stamp"]))
 
-    def _on_sync(self, message) -> None:
-        for name, stamp in sorted(message.payload["view"].items()):
-            self.merge(name, tuple(stamp))
-
     def _gossip(self) -> None:
         if not self.view:
             return
@@ -211,7 +213,8 @@ class _ClusterAgent:
             {"view": dict(self.view)}, self.world.sim.now,
         )
 
-    def _on_gossip(self, message) -> None:
+    def _on_view(self, message) -> None:
+        """A ring peer's gossip or the root's post-recovery sync."""
         for name, stamp in sorted(message.payload["view"].items()):
             self.merge(name, tuple(stamp))
 
@@ -254,7 +257,9 @@ class _RootAgent:
         self.downlinks = {}
         for cluster in topo.clusters:
             if cluster.aggregator != topo.root:
-                link = LinkHealth(world.sim, world.router, topo.root, cluster.aggregator)
+                link = boundary_detector(
+                    world.sim, world.router, topo.root, cluster.aggregator, UPLINK_DETECTION
+                )
                 link.on_up(lambda agg=cluster.aggregator: self._sync_peer(agg))
                 self.downlinks[cluster.aggregator] = link
         world.router.register(topo.root, "report", self._on_report)
@@ -278,13 +283,13 @@ class _RootAgent:
             return
         worst = max(over, key=lambda load: (load["worst_mean"], load["cluster"]))
         aggregator = self.world.topology.cluster_named(worst["cluster"]).aggregator
-        payload = {"member": worst["worst"], "delta": ROOT_TUNE_DELTA}
         if aggregator == self.world.topology.root:
-            self.agent._on_tune(_LocalTune(payload))
+            self.agent.apply_root_tune(worst["worst"], ROOT_TUNE_DELTA)
         else:
             self.world.router.send(
                 self.world.topology.root, aggregator, "tune",
-                payload, self.world.sim.now,
+                {"member": worst["worst"], "delta": ROOT_TUNE_DELTA},
+                self.world.sim.now,
             )
         self.tunes_sent += 1
 
@@ -325,15 +330,6 @@ class _RootAgent:
                 agg: link.health() for agg, link in sorted(self.downlinks.items())
             },
         }
-
-
-class _LocalTune:
-    """Shim so the root can hand its own cluster a tune without a link."""
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: dict) -> None:
-        self.payload = payload
 
 
 class _ShardWorld:

@@ -14,6 +14,7 @@ from .health import (
     PEER_SUSPECT,
     PEER_UP,
     FailureDetector,
+    HeartbeatDetector,
     HeartbeatMessage,
 )
 from .injector import FAULT_TRACE_KINDS, FaultInjector
@@ -40,6 +41,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "HEALTH_TRACE_KINDS",
+    "HeartbeatDetector",
     "HeartbeatMessage",
     "ManagerStall",
     "PEER_DOWN",

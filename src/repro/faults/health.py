@@ -1,8 +1,12 @@
 """Peer health: heartbeats, miss-threshold failure detection, epochs.
 
-Each armed :class:`~repro.coordination.CoordinationAgent` gets a
-:class:`FailureDetector` watching its *peer* through two independent
-signals:
+:class:`HeartbeatDetector` is the platform's one liveness state machine.
+It is transport-free — it sends through a ``send(epoch)`` callable and is
+told of arrivals by ``heard(epoch)`` — so shard boundary links use it
+directly (:func:`~repro.shard.boundary_detector`). Each armed
+:class:`~repro.coordination.CoordinationAgent` gets a
+:class:`FailureDetector` built on it, watching its *peer* through two
+independent signals:
 
 * **Heartbeats** — periodic :class:`HeartbeatMessage` datagrams over the
   raw mailbox (never the reliable wrapper: a retransmitted stale
@@ -33,13 +37,13 @@ State machine (the platform's ``PeerHealth``):
 
 Everything is driven by simulation-time periodic tasks — deterministic
 for a given seed and plan, and identical across simulator fast path
-modes.
+modes and shard counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..sim import PeriodicTask, Simulator, Tracer
 
@@ -88,60 +92,45 @@ class HeartbeatMessage:
         return f"Heartbeat({self.sender}, epoch={self.epoch}, #{self.seq})"
 
 
-class FailureDetector:
-    """Miss-threshold failure detector for one agent's peer."""
+class HeartbeatDetector:
+    """Miss-threshold failure detector for one peer, transport-free.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        agent,
-        config,
-        tracer: Optional[Tracer] = None,
-    ):
-        """``agent`` is the local :class:`CoordinationAgent` whose peer is
-        watched; ``config`` is a :class:`~repro.faults.FaultConfig`."""
+    Every ``config.heartbeat_period`` (a :class:`~repro.faults.FaultConfig`;
+    only its cadence and thresholds are read) it calls ``send(epoch)``,
+    then counts the consecutive silent periods since the transport last
+    called :meth:`heard`, walking the peer UP -> SUSPECT
+    (``suspect_misses``) -> DOWN (``down_misses``). A heartbeat heard
+    while the peer is not UP recovers it; recovery from DOWN bumps
+    :attr:`epoch` — the signal for the owner to replay its state on top
+    of whatever the peer missed.
+    """
+
+    #: Local incarnation; bumped on every DOWN -> UP recovery.
+    epoch = 0
+
+    def __init__(self, sim: Simulator, config, send: Callable[[int], Any], name: str):
         self.sim = sim
-        self.agent = agent
         self.config = config
-        self.tracer = tracer or Tracer(sim, enabled=False)
-        #: The local island/endpoint name (this detector's identity).
-        self.name = agent.endpoint.name
+        #: The local endpoint's name (this detector's identity).
+        self.name = name
+        self._send = send
         self.state = PEER_UP
-        #: Highest epoch observed from the peer (heartbeats and data).
+        #: Highest epoch observed from the peer.
         self.peer_epoch = 0
         #: (time, state, reason) history — the deterministic health
-        #: timeline the chaos experiment asserts on.
+        #: timeline the chaos experiments assert on.
         self.transitions: list[tuple[int, str, str]] = [(sim.now, PEER_UP, "init")]
         self.heartbeats_sent = 0
         self.heartbeats_received = 0
-        self.dead_letters_seen = 0
-        self._consecutive_dead_letters = 0
-        self._resume_streak = 0
-        self._last_heartbeat_at = sim.now
-        self._last_frames_acked = 0
-        self._seq = 0
+        self._last_heard = sim.now
         self._on_down: list = []
         self._on_up: list = []
-        # Heartbeats always ride the raw mailbox (datagram semantics).
-        self._wire = getattr(agent.endpoint, "raw", agent.endpoint)
-        agent.attach_detector(self)
-        agent.register_message_handler(HeartbeatMessage, self._on_heartbeat)
-        endpoint = agent.endpoint
-        if hasattr(endpoint, "on_dead_letter"):
-            previous = endpoint.on_dead_letter
-
-            def chained(message, _previous=previous):
-                if _previous is not None:
-                    _previous(message)
-                self._note_dead_letter(message)
-
-            endpoint.on_dead_letter = chained
         period = config.heartbeat_period
         self._heartbeat_task = PeriodicTask(
-            sim, period, self._heartbeat_tick, name=f"heartbeat-{self.name}"
+            sim, period, self._beat, name=f"heartbeat-{name}"
         )
         self._check_task = PeriodicTask(
-            sim, period, self._check_tick, name=f"failure-detector-{self.name}"
+            sim, period, self._check, name=f"failure-detector-{name}"
         )
 
     # -- subscriptions ------------------------------------------------------
@@ -156,34 +145,157 @@ class FailureDetector:
 
     def on_up(self, callback) -> None:
         """Run ``callback()`` on recovery (DOWN -> UP), after the epoch
-        bump — the hook where policies replay their desired snapshots."""
+        bump — the hook where the owner replays its state to the peer."""
         self._on_up.append(callback)
 
     # -- periodic tasks -----------------------------------------------------
 
-    def _heartbeat_tick(self) -> None:
+    def _beat(self) -> None:
+        self.heartbeats_sent += 1
+        self._send(self.epoch)
+
+    def _check(self) -> None:
+        misses = (self.sim.now - self._last_heard) // self.config.heartbeat_period
+        if misses >= self.config.down_misses:
+            self._transition(PEER_DOWN, f"missed {misses} heartbeats")
+        elif misses >= self.config.suspect_misses:
+            self._transition(PEER_SUSPECT, f"missed {misses} heartbeats")
+
+    # -- evidence feeds -----------------------------------------------------
+
+    def heard(self, epoch: int) -> None:
+        """The transport delivered a peer heartbeat stamped ``epoch``."""
+        self.heartbeats_received += 1
+        self._last_heard = self.sim.now
+        if epoch > self.peer_epoch:
+            self.note_peer_epoch(epoch)
+        if self.state != PEER_UP and self._may_recover():
+            self._transition(PEER_UP, "heartbeat-resumed")
+
+    def note_peer_epoch(self, epoch: int) -> None:
+        """Adopt a higher peer epoch."""
+        if epoch > self.peer_epoch:
+            self.peer_epoch = epoch
+
+    def _may_recover(self) -> bool:
+        """Whether a heartbeat heard while the peer is not UP recovers it."""
+        return True
+
+    # -- state machine ------------------------------------------------------
+
+    def _transition(self, new_state: str, reason: str) -> None:
+        old = self.state
+        if old == new_state:
+            return
+        if new_state == PEER_SUSPECT and old != PEER_UP:
+            return  # SUSPECT never downgrades DOWN
+        self.state = new_state
+        self.transitions.append((self.sim.now, new_state, reason))
+        recovered = new_state == PEER_UP and old == PEER_DOWN
+        if recovered:
+            self.epoch += 1
+        self._entered(new_state, recovered, reason)
+        if new_state == PEER_DOWN:
+            for callback in self._on_down:
+                callback()
+        elif recovered:
+            for callback in self._on_up:
+                callback()
+
+    def _entered(self, state: str, recovered: bool, reason: str) -> None:
+        """Hook run on every transition, after the recovery epoch bump and
+        before the ``on_down``/``on_up`` callbacks."""
+
+    # -- introspection ------------------------------------------------------
+
+    def health(self) -> dict[str, Any]:
+        """Picklable snapshot: state, epochs, heartbeat counters and the
+        transition timeline."""
+        return {
+            "state": self.state,
+            "epoch": self.epoch,
+            "peer_epoch": self.peer_epoch,
+            "heartbeats_sent": self.heartbeats_sent,
+            "heartbeats_received": self.heartbeats_received,
+            "transitions": list(self.transitions),
+        }
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.name} peer={self.state} epoch={self.epoch}>"
+
+
+class FailureDetector(HeartbeatDetector):
+    """The heartbeat core watching one agent's peer over its raw mailbox,
+    plus what only an agent has: crash/stall gating, the agent-owned
+    epoch, dead-letter and ack-progress evidence, and baseline reverts."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        agent,
+        config,
+        tracer: Optional[Tracer] = None,
+    ):
+        """``agent`` is the local :class:`CoordinationAgent` whose peer is
+        watched; ``config`` is a :class:`~repro.faults.FaultConfig`."""
+        self.agent = agent
+        self.tracer = tracer or Tracer(sim, enabled=False)
+        super().__init__(sim, config, self._send_heartbeat, agent.endpoint.name)
+        self.dead_letters_seen = 0
+        self._consecutive_dead_letters = 0
+        self._resume_streak = 0
+        self._last_frames_acked = 0
+        self._seq = 0
+        # Heartbeats always ride the raw mailbox (datagram semantics).
+        self._wire = getattr(agent.endpoint, "raw", agent.endpoint)
+        agent.attach_detector(self)
+        agent.register_message_handler(HeartbeatMessage, self._on_heartbeat)
+        endpoint = agent.endpoint
+        if hasattr(endpoint, "on_dead_letter"):
+            previous = endpoint.on_dead_letter
+
+            def chained(message, _previous=previous):
+                if _previous is not None:
+                    _previous(message)
+                self._note_dead_letter(message)
+
+            endpoint.on_dead_letter = chained
+
+    @property
+    def epoch(self) -> int:
+        """The agent's epoch, stamped on everything it sends; bumped here
+        on recovery and by the agent on restart."""
+        return self.agent.epoch
+
+    @epoch.setter
+    def epoch(self, value: int) -> None:
+        self.agent.epoch = value
+
+    # -- periodic tasks -----------------------------------------------------
+
+    def _beat(self) -> None:
         agent = self.agent
         if agent.crashed or agent.stalled:
             return  # a dead or stalled manager cannot heartbeat
+        super()._beat()
+
+    def _send_heartbeat(self, epoch: int) -> None:
         self._seq += 1
-        self.heartbeats_sent += 1
         if self.tracer.wants("heartbeat-sent"):
             self.tracer.emit(
                 "health", "heartbeat-sent", island=self.name,
-                seq=self._seq, epoch=agent.epoch,
+                seq=self._seq, epoch=epoch,
             )
         self._wire.send(HeartbeatMessage(
-            sender=self.name, epoch=agent.epoch, seq=self._seq,
-            sent_at=self.sim.now,
+            sender=self.name, epoch=epoch, seq=self._seq, sent_at=self.sim.now,
         ))
 
-    def _check_tick(self) -> None:
-        period = self.config.heartbeat_period
+    def _check(self) -> None:
         agent = self.agent
         if agent.crashed:
             # While dead we judge nothing; refresh the horizon so a
             # restart gets a full grace window before suspecting.
-            self._last_heartbeat_at = self.sim.now
+            self._last_heard = self.sim.now
             return
         acked = getattr(agent.endpoint, "frames_acked", 0)
         if acked > self._last_frames_acked:
@@ -193,43 +305,35 @@ class FailureDetector:
             self._consecutive_dead_letters = 0
             if self.state != PEER_UP and self._heartbeat_fresh():
                 self._transition(PEER_UP, "ack-progress")
-        silent = self.sim.now - self._last_heartbeat_at
-        misses = silent // period
-        if misses >= self.config.down_misses:
-            self._resume_streak = 0
-            self._transition(PEER_DOWN, f"missed {misses} heartbeats")
-        elif misses >= self.config.suspect_misses:
-            self._resume_streak = 0
-            self._transition(PEER_SUSPECT, f"missed {misses} heartbeats")
+        if not self._heartbeat_fresh():
+            self._resume_streak = 0  # a missed heartbeat breaks the streak
+        super()._check()
 
     def _heartbeat_fresh(self) -> bool:
-        silent = self.sim.now - self._last_heartbeat_at
+        silent = self.sim.now - self._last_heard
         return silent < self.config.suspect_misses * self.config.heartbeat_period
 
     # -- evidence feeds -----------------------------------------------------
 
     def _on_heartbeat(self, message: HeartbeatMessage) -> None:
-        self.heartbeats_received += 1
-        self._last_heartbeat_at = self.sim.now
-        self._resume_streak += 1
-        if message.epoch > self.peer_epoch:
-            self.note_peer_epoch(message.epoch)
         if self.tracer.wants("heartbeat-received"):
             self.tracer.emit(
                 "health", "heartbeat-received", island=self.name,
                 frm=message.sender, seq=message.seq, epoch=message.epoch,
             )
-        if self.state == PEER_SUSPECT:
-            self._transition(PEER_UP, "heartbeat-resumed")
-        elif self.state == PEER_DOWN:
-            # Heartbeats alone recover a silence-driven DOWN immediately.
-            # A dead-letter-driven DOWN additionally needs either ack
-            # progress (see the check loop) or a sustained resumed streak,
-            # so a one-way partition does not flap on every heartbeat.
-            if (self._consecutive_dead_letters < self.config.dead_letter_down
-                    or self._resume_streak >= self.config.down_misses):
-                self._consecutive_dead_letters = 0
-                self._transition(PEER_UP, "heartbeat-resumed")
+        self._resume_streak += 1
+        self.heard(message.epoch)
+
+    def _may_recover(self) -> bool:
+        # Heartbeats alone recover a SUSPECT or a silence-driven DOWN.
+        # A dead-letter-driven DOWN additionally needs either ack
+        # progress (see the check loop) or a sustained resumed streak,
+        # so a one-way partition does not flap on every heartbeat.
+        return (
+            self.state == PEER_SUSPECT
+            or self._consecutive_dead_letters < self.config.dead_letter_down
+            or self._resume_streak >= self.config.down_misses
+        )
 
     def _note_dead_letter(self, message: Any) -> None:
         self.dead_letters_seen += 1
@@ -263,45 +367,26 @@ class FailureDetector:
 
     # -- state machine ------------------------------------------------------
 
-    def _transition(self, new_state: str, reason: str) -> None:
-        old = self.state
-        if old == new_state:
-            return
-        if new_state == PEER_SUSPECT and old != PEER_UP:
-            return  # SUSPECT never downgrades DOWN
-        self.state = new_state
-        self.transitions.append((self.sim.now, new_state, reason))
-        if self.tracer.wants(_STATE_KIND[new_state]):
-            self.tracer.emit(
-                "health", _STATE_KIND[new_state], island=self.name, reason=reason,
-            )
-        if new_state == PEER_DOWN:
+    def _entered(self, state: str, recovered: bool, reason: str) -> None:
+        kind = _STATE_KIND[state]
+        if self.tracer.wants(kind):
+            self.tracer.emit("health", kind, island=self.name, reason=reason)
+        if state == PEER_DOWN:
             self.agent.revert_to_baselines(f"peer-down:{reason}")
-            for callback in self._on_down:
-                callback()
-        elif new_state == PEER_UP and old == PEER_DOWN:
-            self.agent.epoch += 1
+        elif recovered:
+            self._consecutive_dead_letters = 0
             if self.tracer.wants("epoch-bump"):
                 self.tracer.emit(
                     "health", "epoch-bump", island=self.name,
-                    epoch=self.agent.epoch, reason=reason,
+                    epoch=self.epoch, reason=reason,
                 )
-            for callback in self._on_up:
-                callback()
 
     # -- introspection ------------------------------------------------------
 
     def health(self) -> dict[str, Any]:
-        """Snapshot for :meth:`GlobalController.health`."""
-        return {
-            "state": self.state,
-            "epoch": self.agent.epoch,
-            "peer_epoch": self.peer_epoch,
-            "heartbeats_sent": self.heartbeats_sent,
-            "heartbeats_received": self.heartbeats_received,
-            "dead_letters_seen": self.dead_letters_seen,
-            "transitions": list(self.transitions),
-        }
-
-    def __repr__(self) -> str:
-        return f"<FailureDetector {self.name} peer={self.state} epoch={self.agent.epoch}>"
+        """Snapshot for :meth:`GlobalController.health`: the shared keys
+        plus ``dead_letters_seen``."""
+        snapshot = super().health()
+        snapshot["dead_letters_seen"] = self.dead_letters_seen
+        snapshot["transitions"] = snapshot.pop("transitions")
+        return snapshot

@@ -24,9 +24,9 @@ The pieces:
   are stamped ``(deliver_at, dst, src, seq)`` and applied in exactly
   that order, so the receiving shard's trajectory is a function of the
   message set, not of which process produced it.
-* :class:`LinkHealth` — heartbeat-driven UP/SUSPECT/DOWN detection with
-  epoch-bump recovery for boundary links (the PR-5 fault idiom crossing
-  shard boundaries).
+* :func:`boundary_detector` — the fault domain's
+  :class:`~repro.faults.HeartbeatDetector` (UP/SUSPECT/DOWN with
+  epoch-bump recovery) watching a peer across a boundary link.
 * :class:`ShardHost` — one shard's simulator + router + world, advanced
   grant by grant.
 * :class:`WindowJournal` — the bounded per-run journal of every
@@ -46,8 +46,7 @@ The pieces:
 
 from .config import ShardConfig
 from .plan import ShardPlan
-from .ports import BoundaryMessage, BoundaryRouter, BoundaryRoutingError
-from .health import LINK_DOWN, LINK_SUSPECT, LINK_UP, LinkHealth
+from .ports import BoundaryMessage, BoundaryRouter, BoundaryRoutingError, boundary_detector
 from .host import ShardContext, ShardHost
 from .journal import WindowJournal
 from .supervisor import (
@@ -72,10 +71,6 @@ __all__ = [
     "DegradationLog",
     "FINISH_WINDOW",
     "FaultScript",
-    "LINK_DOWN",
-    "LINK_SUSPECT",
-    "LINK_UP",
-    "LinkHealth",
     "ShardConfig",
     "ShardContext",
     "ShardHost",
@@ -86,5 +81,6 @@ __all__ = [
     "SupervisionExhausted",
     "SupervisionLog",
     "WindowJournal",
+    "boundary_detector",
     "run_sharded",
 ]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from ..faults.health import HeartbeatDetector
 from ..faults.plan import ChannelBlackout
 
 
@@ -197,3 +198,24 @@ class BoundaryRouter:
             f"<BoundaryRouter shard={self.shard_index} sent={self.sent} "
             f"dropped={self.dropped} delivered={self.delivered}>"
         )
+
+
+def boundary_detector(
+    sim, router: BoundaryRouter, local: str, peer: str, config
+) -> HeartbeatDetector:
+    """Watch ``peer`` from ``local`` with a
+    :class:`~repro.faults.HeartbeatDetector` (cadence and thresholds from
+    ``config``, a :class:`~repro.faults.FaultConfig`) whose heartbeats are
+    ``"heartbeat"`` messages on ``router``. Lossless boundary pipes lose
+    heartbeats only to a scripted blackout, which drops them at send time,
+    so the timeline is identical at any shard count."""
+    detector = HeartbeatDetector(
+        sim, config,
+        lambda epoch: router.send(local, peer, "heartbeat", {"epoch": epoch}, sim.now),
+        name=f"{local}->{peer}",
+    )
+    router.register(
+        local, "heartbeat",
+        lambda message: detector.heard(message.payload["epoch"]), src=peer,
+    )
+    return detector

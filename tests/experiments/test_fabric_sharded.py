@@ -1,6 +1,8 @@
 """The sharded fabric experiment: bit-equal arms, fault story, sweep."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -21,9 +23,18 @@ DURATION = seconds(2)
 DERIVED = tuple(
     field.name for field in dataclasses.fields(FabricShardedArmResult)
     if field.name not in {
-        "shards", "metrics", "engine", "windows", "events", "wall_seconds",
+        "shards", "metrics", "engine", "windows", "grants", "events", "wall_seconds",
     }
 )
+#: Digest of the reference arm's ``metrics``: pins the simulated outcome
+#: itself, which a drift shared by every arm would leave equal across arms.
+REFERENCE_DIGEST = "630c8b1fa2a880aa"
+
+
+def digest(value) -> str:
+    """First 16 hex digits of the sha256 of ``value``'s canonical JSON."""
+    canonical = json.dumps(value, sort_keys=True, default=repr)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def arm(shards, fastpath=True, blackout=True):
@@ -39,6 +50,9 @@ def reference():
 
 
 class TestBitEquality:
+    def test_reference_outcome_is_pinned(self, reference):
+        assert digest(reference.metrics) == REFERENCE_DIGEST
+
     @pytest.mark.parametrize("shards", [2, 4])
     def test_sharded_metrics_match_single_process(self, reference, shards):
         sharded = arm(shards=shards)
@@ -55,6 +69,8 @@ class TestBitEquality:
         sharded = arm(shards=2)
         assert sharded.events == reference.events
         assert sharded.windows == reference.windows
+        # Two pipelined half-window grants per plan window, either engine.
+        assert sharded.grants == reference.grants == 2 * reference.windows
         assert sharded.wall_seconds > 0
         assert sharded.events_per_second > 0
 

@@ -26,7 +26,7 @@ or run a whole paper experiment::
     print(render_table1(pair))
 """
 
-from .platform import EntityId, GlobalController, Island
+from .platform import EntityId, Island
 from .shard import ShardConfig
 from .testbed import (
     ChannelConfig,
@@ -43,7 +43,6 @@ __all__ = [
     "ChannelConfig",
     "ClientHost",
     "EntityId",
-    "GlobalController",
     "Island",
     "FabricTestbed",
     "ShardConfig",

@@ -335,8 +335,7 @@ class CoordinationAgent:
                             message=repr(message),
                         )
                     return
-                if epoch > detector.peer_epoch:
-                    detector.note_peer_epoch(epoch)
+                detector.note_peer_epoch(epoch)
         span = getattr(message, "span", None)
         if span is not None and self.tracer.wants("span-recv"):
             self.tracer.emit(

@@ -174,17 +174,6 @@ class EnergyQosGovernor:
     def _dvfs_enabled(self) -> bool:
         return self.mode != "partition-only"
 
-    def _dvfs_raced(self) -> bool:
-        """Whether another actor already stepped the ladder this instant
-        (same audit-based guard as the power-cap governors' actuator)."""
-        last = self.x86.knobs.last_actuation(self.dvfs_entity)
-        return (
-            last is not None
-            and last.time == self.sim.now
-            and last.op == "tune"
-            and bool(last.requested_delta)
-        )
-
     def _tune(self, entity: EntityId, delta: int, reason: str) -> None:
         """One audited, span-stamped actuation (never zero-delta)."""
         span = None
@@ -247,7 +236,7 @@ class EnergyQosGovernor:
         if self._dvfs_enabled:
             index = int(self.x86.knobs.get(self.dvfs_entity).read())
             if index < len(DVFS_LADDER) - 1:
-                if self._dvfs_raced():
+                if self.x86.knobs.tuned_this_instant(self.dvfs_entity):
                     self.dvfs_deferred += 1
                     return
                 self._tune(self.dvfs_entity, +1, reason=f"qos:{vm}")
@@ -292,7 +281,7 @@ class EnergyQosGovernor:
             and self.sim.now >= self._dvfs_hold_until
             and self._downstep_safe()
         ):
-            if self._dvfs_raced():
+            if self.x86.knobs.tuned_this_instant(self.dvfs_entity):
                 self.dvfs_deferred += 1
                 return
             self._tune(self.dvfs_entity, -1, reason="economize")

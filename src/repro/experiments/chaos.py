@@ -28,7 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..apps.rubis import WEB_VM, RubisConfig, deploy_rubis
-from ..faults import ChannelBlackout, FaultConfig, FaultPlan
+from ..faults import (
+    PEER_DOWN,
+    PEER_SUSPECT,
+    PEER_UP,
+    ChannelBlackout,
+    FaultConfig,
+    FaultPlan,
+    first_transition,
+)
 from ..parallel import Job, Sweep
 from ..platform import EntityId
 from ..sim import ms, seconds
@@ -109,20 +117,6 @@ def _boost_loop(testbed, entity, active):
         agent.send_trigger(entity, reason="chaos-lease-exercise")
 
 
-def _first_leaving_up(transitions, start):
-    for time, state, _reason in transitions:
-        if time >= start and state != "up":
-            return time
-    return None
-
-
-def _first_up_after(transitions, start):
-    for time, state, _reason in transitions:
-        if time >= start and state == "up":
-            return time
-    return None
-
-
 def run_chaos_arm(
     blackout: int, seed: int = 1, fastpath: bool = True
 ) -> ChaosArmResult:
@@ -181,8 +175,8 @@ def run_chaos_arm(
     recovery_ms = {}
     for side in _SIDES:
         transitions = testbed.detectors[side].transitions
-        left_up = _first_leaving_up(transitions, FAULT_START)
-        back_up = _first_up_after(transitions, fault_end)
+        left_up = first_transition(transitions, FAULT_START, (PEER_SUSPECT, PEER_DOWN))
+        back_up = first_transition(transitions, fault_end, (PEER_UP,))
         detection_ms[side] = -1.0 if left_up is None else (left_up - FAULT_START) / 1e6
         recovery_ms[side] = -1.0 if back_up is None else (back_up - fault_end) / 1e6
 

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..faults import ChannelBlackout, FaultConfig
+from ..faults import PEER_DOWN, ChannelBlackout, FaultConfig, first_transition
 from ..metrics import OnlineStats
 from ..platform import EntityId, FabricTopology
 from ..shard import ShardPlan, boundary_detector, run_sharded
@@ -514,14 +514,8 @@ def run_fabric_sharded_arm(
     target = topology.clusters[-1].name
     target_data = metrics["clusters"].get(target, {})
     health = target_data.get("health") or {}
-    detect = next(
-        (
-            (when - duration // 2) / 1e6
-            for when, state, _reason in health.get("transitions", ())
-            if state == "down"
-        ),
-        None,
-    )
+    went_down = first_transition(health.get("transitions", ()), 0, (PEER_DOWN,))
+    detect = None if went_down is None else (went_down - duration // 2) / 1e6
     registered = metrics["spare_registered_at"]
     convergence: Optional[float] = None
     if registered is not None:

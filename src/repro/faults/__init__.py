@@ -16,6 +16,7 @@ from .health import (
     FailureDetector,
     HeartbeatDetector,
     HeartbeatMessage,
+    first_transition,
 )
 from .injector import FAULT_TRACE_KINDS, FaultInjector
 from .plan import (
@@ -47,4 +48,5 @@ __all__ = [
     "PEER_DOWN",
     "PEER_SUSPECT",
     "PEER_UP",
+    "first_transition",
 ]

@@ -74,6 +74,20 @@ HEALTH_TRACE_KINDS = (
 _STATE_KIND = {PEER_UP: "peer-up", PEER_SUSPECT: "peer-suspect", PEER_DOWN: "peer-down"}
 
 
+def first_transition(timeline, after: int, states) -> Optional[int]:
+    """Time of the first ``(time, state, ...)`` entry of a peer-state
+    timeline at or after ``after`` whose state is in ``states``, or None.
+
+    The one reader of detector timelines: "left UP" is
+    ``states=(PEER_SUSPECT, PEER_DOWN)``, "came back UP" is
+    ``(PEER_UP,)`` and "went DOWN" is ``(PEER_DOWN,)``.
+    """
+    for entry in timeline:
+        if entry[0] >= after and entry[1] in states:
+            return entry[0]
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class HeartbeatMessage:
     """Periodic liveness datagram between the two agents.
@@ -123,7 +137,6 @@ class HeartbeatDetector:
         self.heartbeats_sent = 0
         self.heartbeats_received = 0
         self._last_heard = sim.now
-        self._on_down: list = []
         self._on_up: list = []
         period = config.heartbeat_period
         self._heartbeat_task = PeriodicTask(
@@ -138,10 +151,6 @@ class HeartbeatDetector:
     @property
     def is_down(self) -> bool:
         return self.state == PEER_DOWN
-
-    def on_down(self, callback) -> None:
-        """Run ``callback()`` whenever the peer transitions to DOWN."""
-        self._on_down.append(callback)
 
     def on_up(self, callback) -> None:
         """Run ``callback()`` on recovery (DOWN -> UP), after the epoch
@@ -167,8 +176,7 @@ class HeartbeatDetector:
         """The transport delivered a peer heartbeat stamped ``epoch``."""
         self.heartbeats_received += 1
         self._last_heard = self.sim.now
-        if epoch > self.peer_epoch:
-            self.note_peer_epoch(epoch)
+        self.note_peer_epoch(epoch)
         if self.state != PEER_UP and self._may_recover():
             self._transition(PEER_UP, "heartbeat-resumed")
 
@@ -195,16 +203,13 @@ class HeartbeatDetector:
         if recovered:
             self.epoch += 1
         self._entered(new_state, recovered, reason)
-        if new_state == PEER_DOWN:
-            for callback in self._on_down:
-                callback()
-        elif recovered:
+        if recovered:
             for callback in self._on_up:
                 callback()
 
     def _entered(self, state: str, recovered: bool, reason: str) -> None:
         """Hook run on every transition, after the recovery epoch bump and
-        before the ``on_down``/``on_up`` callbacks."""
+        before the ``on_up`` callbacks."""
 
     # -- introspection ------------------------------------------------------
 
@@ -384,7 +389,7 @@ class FailureDetector(HeartbeatDetector):
     # -- introspection ------------------------------------------------------
 
     def health(self) -> dict[str, Any]:
-        """Snapshot for :meth:`GlobalController.health`: the shared keys
+        """Snapshot for :meth:`CentralDirectory.health`: the shared keys
         plus ``dead_letters_seen``."""
         snapshot = super().health()
         snapshot["dead_letters_seen"] = self.dead_letters_seen

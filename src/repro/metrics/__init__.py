@@ -1,17 +1,16 @@
 """Measurement: summary statistics, CPU sampling, response-time recording
 and the paper's platform-efficiency metric."""
 
-from .actuation import ActuationCollector
 from .breakdown import RX_PATH_STAGES, LatencyBreakdown, StageStats
-from .channel import (
+from .collector import (
     CHANNEL_TRACE_KINDS,
     RAW_DROP_KIND,
     RELIABLE_TRACE_KINDS,
+    ActuationCollector,
     ChannelReliabilityCollector,
-)
-from .collector import (
     CpuUtilizationSampler,
     TimePoint,
+    TraceCounters,
     UtilizationSample,
     WindowedCounter,
 )
@@ -48,6 +47,7 @@ __all__ = [
     "SchedulingTimeline",
     "Summary",
     "TimePoint",
+    "TraceCounters",
     "UtilizationSample",
     "WindowedCounter",
     "percentile",

@@ -1,12 +1,32 @@
-"""Time-series collectors: CPU utilisation sampling and windowed counters."""
+"""Time-series collectors: CPU utilisation sampling, windowed counters and
+the windowed trace-kind counters behind the actuation and channel
+metrics."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from ..sim import NS_PER_S, PeriodicTask, Simulator, seconds
+from ..platform.knobs import ACTUATION_TRACE_KINDS
+from ..sim import NS_PER_S, PeriodicTask, Simulator, Tracer, seconds
 from ..x86.vm import VirtualMachine
+
+#: Trace kinds emitted by the reliable layer (source ``"reliable"``).
+RELIABLE_TRACE_KINDS = (
+    "frame-sent",
+    "frame-retransmit",
+    "frame-acked",
+    "frame-dup-dropped",
+    "frame-dead-letter",
+    "frame-coalesced",
+)
+
+#: Trace kind emitted by the raw lossy mailbox (source ``"channel"``).
+RAW_DROP_KIND = "msg-dropped"
+
+#: Everything the channel-reliability collector subscribes to by default.
+CHANNEL_TRACE_KINDS = RELIABLE_TRACE_KINDS + (RAW_DROP_KIND,)
 
 
 @dataclass
@@ -122,3 +142,99 @@ class WindowedCounter:
             TimePoint(time=bucket * self.window, value=float(count))
             for bucket, count in sorted(self._counts.items())
         ]
+
+
+class TraceCounters:
+    """One :class:`WindowedCounter` per subscribed trace kind.
+
+    The sink that turns a component's trace records into windowed time
+    series, so its behaviour can be read off a run like any other
+    throughput metric. Requires a tracer with tracing *enabled* (the
+    testbed's ``tracing`` config knob); with tracing off, no records
+    arrive and every counter stays at zero.
+    """
+
+    def __init__(
+        self, sim: Simulator, tracer: Tracer, kinds: Iterable[str], window: int = seconds(1)
+    ):
+        self.sim = sim
+        self.counters: dict[str, WindowedCounter] = {
+            kind: WindowedCounter(sim, window=window) for kind in kinds
+        }
+        tracer.subscribe(self._on_record, kinds=list(self.counters))
+
+    def _on_record(self, record) -> None:
+        self.counters[record.kind].record()
+
+    def total(self, kind: str) -> int:
+        """Cumulative count of one trace kind."""
+        return self.counters[kind].total
+
+    def totals(self) -> dict[str, int]:
+        """Cumulative count per subscribed kind."""
+        return {kind: counter.total for kind, counter in self.counters.items()}
+
+    def rate_per_second(
+        self, kind: str, start: Optional[int] = None, end: Optional[int] = None
+    ) -> float:
+        """Mean event rate of one kind over ``[start, end)``."""
+        return self.counters[kind].rate_per_second(start=start, end=end)
+
+    def series(self, kind: str) -> list[TimePoint]:
+        """Per-window counts of one kind, ascending by time."""
+        return self.counters[kind].series()
+
+
+class ChannelReliabilityCollector(TraceCounters):
+    """Counters over the reliable layer's and the raw mailbox's trace kinds
+    (retransmission storms, dead-letter spikes, coalescing pressure)."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        tracer: Tracer,
+        window: int = seconds(1),
+        kinds: Iterable[str] = CHANNEL_TRACE_KINDS,
+    ):
+        super().__init__(sim, tracer, kinds, window)
+
+
+class ActuationCollector(TraceCounters):
+    """Counters over the knob registry's actuation trace kinds (tune
+    storms, clamp rates, trigger churn), plus per-entity totals of applied
+    Tunes and Triggers so experiments can answer "who actuated what, how
+    often" and attribute every scheduler change to a coordination
+    decision."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        tracer: Tracer,
+        window: int = seconds(1),
+        kinds: Iterable[str] = ACTUATION_TRACE_KINDS,
+    ):
+        #: entity -> count of applied tunes / triggers (attribution table).
+        self.tunes_by_entity: Counter[str] = Counter()
+        self.triggers_by_entity: Counter[str] = Counter()
+        super().__init__(sim, tracer, kinds, window)
+
+    def _on_record(self, record) -> None:
+        self.counters[record.kind].record()
+        entity = record.payload.get("entity")
+        if entity is None:
+            return
+        if record.kind == "tune-applied":
+            self.tunes_by_entity[entity] += 1
+        elif record.kind == "trigger-applied":
+            self.triggers_by_entity[entity] += 1
+
+    def attribution(self) -> dict[str, dict[str, int]]:
+        """Per-entity applied-actuation totals (tunes and triggers)."""
+        entities = set(self.tunes_by_entity) | set(self.triggers_by_entity)
+        return {
+            entity: {
+                "tunes": self.tunes_by_entity.get(entity, 0),
+                "triggers": self.triggers_by_entity.get(entity, 0),
+            }
+            for entity in sorted(entities)
+        }

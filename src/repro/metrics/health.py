@@ -17,7 +17,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from ..faults.health import HEALTH_TRACE_KINDS, PEER_UP
+from ..faults.health import (
+    HEALTH_TRACE_KINDS,
+    PEER_DOWN,
+    PEER_SUSPECT,
+    PEER_UP,
+    first_transition,
+)
 from ..faults.injector import FAULT_TRACE_KINDS
 from ..sim import Simulator, Tracer
 
@@ -62,17 +68,15 @@ class HealthCollector:
 
     def detection_latency(self, island: str, fault_start: int) -> Optional[int]:
         """Time from ``fault_start`` until ``island`` left the UP state."""
-        for time, state in self.state_timeline.get(island, ()):
-            if time >= fault_start and state != PEER_UP:
-                return time - fault_start
-        return None
+        return self._since(island, fault_start, (PEER_SUSPECT, PEER_DOWN))
 
     def recovery_latency(self, island: str, fault_end: int) -> Optional[int]:
         """Time from ``fault_end`` until ``island`` saw its peer UP again."""
-        for time, state in self.state_timeline.get(island, ()):
-            if time >= fault_end and state == PEER_UP:
-                return time - fault_end
-        return None
+        return self._since(island, fault_end, (PEER_UP,))
+
+    def _since(self, island: str, after: int, states) -> Optional[int]:
+        when = first_transition(self.state_timeline.get(island, ()), after, states)
+        return None if when is None else when - after
 
     def downtime(self, island: str, end: Optional[int] = None) -> int:
         """Total sim-time ``island``'s peer spent in the DOWN state."""
@@ -80,9 +84,9 @@ class HealthCollector:
         total = 0
         down_since: Optional[int] = None
         for time, state in self.state_timeline.get(island, ()):
-            if state == "down" and down_since is None:
+            if state == PEER_DOWN and down_since is None:
                 down_since = time
-            elif state != "down" and down_since is not None:
+            elif state != PEER_DOWN and down_since is not None:
                 total += time - down_since
                 down_since = None
         if down_since is not None:

@@ -8,8 +8,8 @@ health, actuation introspection, the observatory) behind a
 
 * :class:`CentralDirectory` — today's behaviour and the audit baseline:
   one authoritative table, every discovery message lands on the hub
-  (O(K) concentration). :class:`~repro.platform.GlobalController` is
-  this class under its paper-era name.
+  (O(K) concentration) — the paper's global controller, and
+  ``Testbed.controller``.
 * :class:`HierarchicalDirectory` — island clusters with local aggregator
   nodes (shape declared by a :class:`~repro.platform.fabric.
   FabricTopology`): cluster-local ownership tables at aggregators, a
@@ -53,8 +53,7 @@ class Directory(Protocol):
     """What a control-plane directory must provide.
 
     Structural contract implemented by :class:`CentralDirectory`,
-    :class:`HierarchicalDirectory` and :class:`GossipDirectory` (and, by
-    inheritance, the legacy :class:`~repro.platform.GlobalController`).
+    :class:`HierarchicalDirectory` and :class:`GossipDirectory`.
     Anything consuming "the controller" — testbeds, meshes, agents,
     metrics collectors — should require no more than this.
     """

@@ -295,12 +295,23 @@ class KnobRegistry:
             del self.audit[: len(self.audit) - self.audit_limit]
         return record
 
-    def last_actuation(self, entity_id: EntityId) -> Optional[ActuationRecord]:
-        """The most recent audit record touching ``entity_id`` (None if
-        the entity was never actuated). Governors use this to detect a
-        same-instant actuation by a racing peer before stepping a shared
-        knob like the DVFS ladder."""
-        return self._last.get(entity_id)
+    def tuned_this_instant(self, entity_id: EntityId) -> bool:
+        """Whether a non-zero Tune on ``entity_id`` already landed at this
+        simulation time — the same-instant race guard.
+
+        Two actors sharing one signal (two power-cap governors on one
+        meter, or an energy policy alongside a cap governor) would both
+        react to the same sample and double-step a shared knob like the
+        DVFS ladder. The audit is the shared ground truth: the second
+        actor checks this and yields its step.
+        """
+        last = self._last.get(entity_id)
+        return (
+            last is not None
+            and last.time == self.sim.now
+            and last.op == "tune"
+            and bool(last.requested_delta)
+        )
 
     def _emit_span_applied(self, span: Any, record: ActuationRecord) -> None:
         """Close a causal span at its actuation (t5 of the control loop).

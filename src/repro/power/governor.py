@@ -60,38 +60,21 @@ class _DvfsActuator:
         """Speed of core 0 (all cores are stepped together)."""
         return self.x86.scheduler.cpus[0].speed
 
-    def _raced(self) -> bool:
-        """Whether another actor already stepped the ladder this instant.
-
-        Two governors sharing one meter (local + coordinated racing, or a
-        coordinated energy policy alongside a cap governor) would both see
-        the same over/under-budget sample and double-step the ladder.
-        The actuation audit is the shared ground truth: if a non-zero Tune
-        on the dvfs entity already landed at this simulation time, this
-        actuator yields its step.
-        """
-        last = self.x86.knobs.last_actuation(self.dvfs_entity)
-        return (
-            last is not None
-            and last.time == self.x86.sim.now
-            and last.op == "tune"
-            and bool(last.requested_delta)
-        )
-
     def actuate(self, measured_w: float, allowance_w: float) -> None:
         if measured_w > allowance_w:
-            if self._raced():
-                self.steps_deferred += 1
-                return
-            record = self.x86.apply_tune(self.dvfs_entity, -1)
-            if record.applied_value != record.previous_value:
-                self.steps_down += 1
+            delta = -1
         elif measured_w < allowance_w - self.hysteresis_w:
-            if self._raced():
-                self.steps_deferred += 1
-                return
-            record = self.x86.apply_tune(self.dvfs_entity, +1)
-            if record.applied_value != record.previous_value:
+            delta = +1
+        else:
+            return
+        if self.x86.knobs.tuned_this_instant(self.dvfs_entity):
+            self.steps_deferred += 1
+            return
+        record = self.x86.apply_tune(self.dvfs_entity, delta)
+        if record.applied_value != record.previous_value:
+            if delta < 0:
+                self.steps_down += 1
+            else:
                 self.steps_up += 1
 
 

@@ -43,6 +43,11 @@ _WHEEL_SHIFT = 16
 _WHEEL_SLOTS = 512
 _WHEEL_MASK = _WHEEL_SLOTS - 1
 
+#: Bound of an unbounded :meth:`Simulator.run`: 2**63 ns, about 292 years
+#: of simulated time. An int (not ``inf``) keeps the drain loop's
+#: per-event comparison int-to-int.
+_END_OF_TIME = 1 << 63
+
 
 class _DelayWakeup:
     """Heap token for the integer-delay fast path (``yield <int>``).
@@ -58,7 +63,7 @@ class _DelayWakeup:
 
     __slots__ = ("process", "gen", "value")
 
-    #: Read by :meth:`Simulator.step`'s cancelled-entry skip; wakeup tokens
+    #: Read by the kernel's cancelled-entry skip; wakeup tokens
     #: are never cancelled (abandonment is handled via ``gen``).
     _cancelled = False
 
@@ -427,24 +432,50 @@ class Simulator:
         self._cursor = s
         heapq.heapify(ready)
 
-    def _pop_live(self) -> Optional[tuple[int, int, Any]]:
-        """Pop the next non-cancelled entry, or None when nothing remains.
+    def _drain(self, last: int) -> None:
+        """Fire every live entry due at or before ``last``, in ``(time,
+        seq)`` order — the kernel's one event loop.
 
         Cancelled entries are discarded as they surface (decrementing the
-        lazy-deletion debt) without advancing the clock.
+        lazy-deletion debt) without advancing the clock. Leaves the clock
+        at the last fired entry; the callers park it.
         """
         ready = self._ready
+        pop = heapq.heappop
         while True:
             if not ready:
                 if not (self._wheel_count or self._heap):
-                    return None
+                    return
                 self._refill()
                 continue
-            entry = heapq.heappop(ready)
-            if entry[2]._cancelled:
+            head = ready[0]
+            if head[2]._cancelled:
+                pop(ready)
                 self._cancelled_pending -= 1
                 continue
-            return entry
+            if head[0] > last:
+                return
+            pop(ready)
+            self._process(head[0], head[2])
+
+    def _head(self) -> Optional[tuple[int, int, Any]]:
+        """The next live entry, left queued, or None when nothing remains.
+
+        Lazily-cancelled entries at the head are skip-popped without
+        advancing the clock, so they never mask the real next event.
+        """
+        ready = self._ready
+        while True:
+            if ready:
+                head = ready[0]
+                if not head[2]._cancelled:
+                    return head
+                heapq.heappop(ready)
+                self._cancelled_pending -= 1
+            elif self._wheel_count or self._heap:
+                self._refill()
+            else:
+                return None
 
     def _process(self, when: int, event: Any) -> None:
         """Advance the clock to one live entry and fire it."""
@@ -473,7 +504,7 @@ class Simulator:
         come out in ascending key order regardless of the heap's internal
         layout. The debt counter is decremented by exactly the number of
         entries dropped — not reset to zero — so it stays consistent with
-        the skip-pop decrements in :meth:`peek`/:meth:`step` no matter how
+        the skip-pop decrements in :meth:`_drain`/:meth:`_head` no matter how
         the two interleave.
         """
         self._cancelled_pending += 1
@@ -530,25 +561,9 @@ class Simulator:
 
     def peek(self) -> Optional[int]:
         """Time of the next *live* pending entry, or None if nothing is
-        queued.
-
-        Lazily-cancelled timers at the head of the schedule are skip-popped
-        (they no longer mask the real next event, and ``run(until=...)``
-        does not burn steps on them).
-        """
-        while True:
-            ready = self._ready
-            if ready:
-                entry = ready[0]
-                if entry[2]._cancelled:
-                    heapq.heappop(ready)
-                    self._cancelled_pending -= 1
-                    continue
-                return entry[0]
-            if self._wheel_count or self._heap:
-                self._refill()
-                continue
-            return None
+        queued (cancelled entries at the head are skip-popped)."""
+        head = self._head()
+        return None if head is None else head[0]
 
     def step(self) -> None:
         """Process exactly one live entry (advance the clock to it).
@@ -557,44 +572,27 @@ class Simulator:
         without running callbacks or advancing the clock; with nothing
         live left, ``step`` is a no-op.
         """
-        entry = self._pop_live()
-        if entry is not None:
-            self._process(entry[0], entry[2])
+        head = self._head()
+        if head is not None:
+            heapq.heappop(self._ready)
+            self._process(head[0], head[2])
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the schedule drains or the clock would pass ``until``.
 
         When ``until`` is given the clock is left at exactly ``until`` even
         if no event falls on that instant, so back-to-back ``run`` calls
-        compose predictably.
+        compose predictably. Without it the schedule drains completely
+        (through ``_END_OF_TIME``, 2**63 ns) and the clock stays at the
+        last fired entry.
         """
         try:
             if until is None:
-                while True:
-                    entry = self._pop_live()
-                    if entry is None:
-                        break
-                    self._process(entry[0], entry[2])
+                self._drain(_END_OF_TIME)
             else:
                 if until < self._now:
                     raise SchedulingInPastError(f"run(until={until}) but now={self._now}")
-                ready = self._ready
-                pop = heapq.heappop
-                while True:
-                    if not ready:
-                        if not (self._wheel_count or self._heap):
-                            break
-                        self._refill()
-                        continue
-                    head = ready[0]
-                    if head[2]._cancelled:
-                        pop(ready)
-                        self._cancelled_pending -= 1
-                        continue
-                    if head[0] > until:
-                        break
-                    pop(ready)
-                    self._process(head[0], head[2])
+                self._drain(until)
                 self._now = until
         except StopSimulation:
             pass
@@ -608,31 +606,16 @@ class Simulator:
         parked exactly at ``until``, and hands control back so boundary
         messages due *at* ``until`` can be applied before any local event
         scheduled for that same instant fires. Contrast :meth:`run`, whose
-        ``until`` is inclusive. Events at exactly ``until`` stay queued
-        and fire on the next ``run``/``run_until``/``step`` call — with
-        the clock already at ``until``, anything applied in between
+        ``until`` is inclusive; the clock is integer nanoseconds, so this
+        drains through ``until - 1``. Events at exactly ``until`` stay
+        queued and fire on the next ``run``/``run_until``/``step`` call —
+        with the clock already at ``until``, anything applied in between
         (message deliveries, drains) is ordered *before* them.
         """
         if until < self._now:
             raise SchedulingInPastError(f"run_until({until}) but now={self._now}")
         try:
-            ready = self._ready
-            pop = heapq.heappop
-            while True:
-                if not ready:
-                    if not (self._wheel_count or self._heap):
-                        break
-                    self._refill()
-                    continue
-                head = ready[0]
-                if head[2]._cancelled:
-                    pop(ready)
-                    self._cancelled_pending -= 1
-                    continue
-                if head[0] >= until:
-                    break
-                pop(ready)
-                self._process(head[0], head[2])
+            self._drain(until - 1)
             self._now = until
         except StopSimulation:
             pass

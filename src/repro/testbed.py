@@ -26,7 +26,7 @@ from .interconnect import (
 from .ixp import IXPIsland, IXPParams
 from .net import DuplexLink, VirtualNIC, XenBridge
 from .obs import ControlLoopCollector, SpanMinter
-from .platform import EntityId, FabricTopology, GlobalController, build_directory
+from .platform import CentralDirectory, EntityId, FabricTopology, build_directory
 from .platform.mesh import CoordinationMesh
 from .sim import RandomStreams, Simulator, Tracer, us
 from .x86 import VirtualMachine, X86Island, X86Params
@@ -221,7 +221,7 @@ class Testbed:
         )
 
         # Global controller (a Dom0 function in the prototype, §2.3).
-        self.controller = GlobalController(self.sim, tracer=self.tracer)
+        self.controller = CentralDirectory(self.sim, tracer=self.tracer)
         self.controller.register_island(self.x86)
         self.controller.register_island(self.ixp)
         self.controller.register_channel("ixp-x86", coord)

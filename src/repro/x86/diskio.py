@@ -40,7 +40,6 @@ class IORequest:
     size: int
     sequential: bool
     done: Event
-    enqueued_at: int
 
 
 class IOQueue:
@@ -51,17 +50,11 @@ class IOQueue:
         self.weight = max(1, weight)
         self.pending: deque[IORequest] = deque()
         self.completed = 0
-        self.total_wait = 0
         #: Deficit counter for weighted round-robin service.
         self.deficit = 0.0
 
     def __len__(self) -> int:
         return len(self.pending)
-
-    def mean_wait(self) -> float:
-        """Mean queueing delay (ns) of completed requests."""
-        return self.total_wait / self.completed if self.completed else 0.0
-
 
 class WeightedIOScheduler:
     """Deficit-weighted round-robin over per-VM queues, one disk server.
@@ -129,7 +122,6 @@ class WeightedIOScheduler:
             size=size,
             sequential=sequential,
             done=self.sim.event(name=f"io-{vm_name}"),
-            enqueued_at=self.sim.now,
         )
         queue.pending.append(request)
         if self.poll_interval == 0 and self._dispatch_wakeup is not None:
@@ -179,7 +171,6 @@ class WeightedIOScheduler:
                 service += self.params.seek_time
             yield self.sim.timeout(service)
             queue.completed += 1
-            queue.total_wait += self.sim.now - request.enqueued_at - service
             self.requests_served += 1
             request.done.succeed(request)
 

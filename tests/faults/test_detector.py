@@ -10,6 +10,7 @@ from repro.faults import (
     FaultConfig,
     FaultPlan,
     ManagerStall,
+    first_transition,
 )
 from repro.platform import EntityId
 from repro.sim import ms, seconds
@@ -273,3 +274,39 @@ class TestDeadLetterFeed:
         testbed.run(seconds(3))
         assert detector.state == PEER_UP
         assert testbed.detectors["ixp"].state == PEER_UP
+
+
+class TestFirstTransition:
+    """The one reader of peer-state timelines, under each of its rules."""
+
+    TIMELINE = [
+        (0, PEER_UP, "init"),
+        (100, PEER_SUSPECT, "missed 2 heartbeats"),
+        (200, PEER_DOWN, "missed 4 heartbeats"),
+        (300, PEER_UP, "heartbeat-resumed"),
+        (400, PEER_DOWN, "missed 4 heartbeats"),
+    ]
+
+    def test_left_up(self):
+        left = (PEER_SUSPECT, PEER_DOWN)
+        assert first_transition(self.TIMELINE, 50, left) == 100
+        assert first_transition(self.TIMELINE, 100, left) == 100
+        assert first_transition(self.TIMELINE, 101, left) == 200
+        assert first_transition(self.TIMELINE, 401, left) is None
+
+    def test_came_back_up(self):
+        assert first_transition(self.TIMELINE, 1, (PEER_UP,)) == 300
+        assert first_transition(self.TIMELINE, 0, (PEER_UP,)) == 0
+        assert first_transition(self.TIMELINE, 301, (PEER_UP,)) is None
+
+    def test_went_down(self):
+        # The sharded fabric's rule: the first DOWN, skipping SUSPECT.
+        assert first_transition(self.TIMELINE, 0, (PEER_DOWN,)) == 200
+        assert first_transition(self.TIMELINE, 201, (PEER_DOWN,)) == 400
+
+    def test_reads_two_field_entries_and_lists(self):
+        # HealthCollector keeps (time, state); a pickled health snapshot
+        # may carry lists instead of tuples.
+        pairs = [[time, state] for time, state, _reason in self.TIMELINE]
+        assert first_transition(pairs, 150, (PEER_DOWN,)) == 200
+        assert first_transition([], 0, (PEER_UP,)) is None

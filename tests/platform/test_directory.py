@@ -15,13 +15,13 @@ from repro.platform import (
     Directory,
     EntityId,
     FabricTopology,
-    GlobalController,
     GossipDirectory,
     HierarchicalDirectory,
     UnknownEntityError,
     build_directory,
 )
 from repro.sim import Simulator, Tracer, ms, seconds
+from repro.testbed import Testbed
 from repro.x86 import X86Island, X86Params
 
 KINDS = ("central", "hierarchical", "gossip")
@@ -200,7 +200,8 @@ class TestBuildDirectory:
 
 class TestGlobalControllerFacade:
     def test_is_a_central_directory(self):
-        controller = GlobalController(Simulator())
+        # The paper's global controller is the testbed's central directory.
+        controller = Testbed().controller
         assert isinstance(controller, CentralDirectory)
         assert isinstance(controller, Directory)
 

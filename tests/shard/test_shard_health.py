@@ -96,6 +96,8 @@ class TestHealthTimeline:
     def test_epoch_bump_and_replay_hook(self, view):
         for endpoint in ("left-0", "right-0"):
             assert view[endpoint]["health"]["epoch"] == 1
+            # The boundary links adopt the peer's epoch only through heard().
+            assert view[endpoint]["health"]["peer_epoch"] == 1
             assert view[endpoint]["replays"] == 1
 
     def test_sharded_timeline_is_identical(self, view):
